@@ -600,7 +600,8 @@ mod tests {
     #[test]
     fn evaluation_extent_is_identical_with_fusion_on_and_off() {
         use crate::database::Database;
-        use crate::eval::{evaluate, EvalConfig};
+        use crate::engine::Engine;
+        use crate::eval::EvalConfig;
         let mut a = Alphabet::new();
         let mut st = SeqStore::new();
         let s: Vec<_> = "ab".chars().map(|c| a.intern_char(c)).collect();
@@ -615,21 +616,26 @@ mod tests {
             let id = st.intern(&w.chars().map(|c| a.intern_char(c)).collect::<Vec<_>>());
             db.add("r", vec![id]);
         }
-        let extent = |model: &crate::eval::Model, st: &SeqStore| {
-            crate::engine::render_tuples_with(model.facts.relation_named("p"), &a, st)
+        let engine = || Engine {
+            alphabet: a.clone(),
+            store: st.clone(),
+            registry: reg.clone(),
         };
-        let mut st_on = st.clone();
-        let on = evaluate(&p, &db, &mut st_on, &reg, &EvalConfig::default()).unwrap();
-        let mut st_off = st.clone();
+        let mut e_on = engine();
+        let on = e_on.evaluate(&p, &db).unwrap();
+        let mut e_off = engine();
         let cfg = EvalConfig {
             danger_disable_fusion: true,
             ..EvalConfig::default()
         };
-        let off = evaluate(&p, &db, &mut st_off, &reg, &cfg).unwrap();
+        let off = e_off.evaluate_with(&p, &db, &cfg).unwrap();
         // Insertion order (not just set equality) must match: fusion is a
         // pure rewrite, so derivation order is preserved too.
-        assert_eq!(extent(&on, &st_on), extent(&off, &st_off));
-        let mut sorted = extent(&on, &st_on);
+        assert_eq!(
+            e_on.rendered_tuples(&on, "p"),
+            e_off.rendered_tuples(&off, "p")
+        );
+        let mut sorted = e_on.rendered_tuples(&on, "p");
         sorted.sort();
         assert_eq!(sorted, [["b"], ["bb"], ["bbbb"]]);
     }

@@ -297,8 +297,8 @@ pub struct CompiledProgram {
     /// Predicate-name interner; every `PredId` in `clauses` indexes it.
     pub preds: PredTable,
     /// The SCC-stratified evaluation schedule (see [`crate::analysis`]);
-    /// the evaluator's default scheduling mode walks it in topological
-    /// order instead of rescanning every clause each round.
+    /// semi-naive evaluation (the default strategy) walks it in
+    /// topological order instead of rescanning every clause each round.
     pub schedule: crate::analysis::Schedule,
 }
 

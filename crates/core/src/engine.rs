@@ -21,12 +21,11 @@
 //! ]);
 //! ```
 
-use crate::analysis::magic::{magic_transform, MagicOptions};
 use crate::analysis::{Bind, ProgramReport};
 use crate::ast::Program;
 use crate::database::Database;
 use crate::eval::interp::Relation;
-use crate::eval::{evaluate, EvalConfig, EvalError, Fixpoint, Model};
+use crate::eval::{EvalConfig, EvalError, Model};
 use crate::parser::{parse_program, ParseError};
 use crate::registry::TransducerRegistry;
 use crate::safety::{analyze, SafetyReport};
@@ -80,60 +79,6 @@ pub(crate) fn render_answers_with(
     };
     out.sort();
     out.dedup();
-    out
-}
-
-/// Filter a relation by a bound-argument pattern and render the matches,
-/// sorted and deduplicated — the answer shape of the `query_bound` API
-/// on both the engine and session routes. `bound` lists `(position,
-/// required id)` pairs; tuples of a different arity than `arity` never
-/// match.
-pub(crate) fn filter_bound_answers(
-    rel: Option<&Relation>,
-    arity: usize,
-    bound: &[(usize, SeqId)],
-    alphabet: &Alphabet,
-    store: &SeqStore,
-) -> Vec<Vec<String>> {
-    let mut out: Vec<Vec<String>> = match rel {
-        None => Vec::new(),
-        Some(rel) => rel
-            .iter()
-            .filter(|t| t.len() == arity && bound.iter().all(|&(i, id)| t[i] == id))
-            .map(|t| {
-                t.iter()
-                    .map(|&id| render_seq(alphabet, store, id))
-                    .collect()
-            })
-            .collect(),
-    };
-    out.sort();
-    out.dedup();
-    out
-}
-
-/// Intern a `query_bound` pattern's bound values and window-close them in
-/// the store, returning `(position, id)` pairs. Interning (rather than a
-/// failable lookup) matters for completeness: a constructive program can
-/// *derive* the queried value even when nothing interned it yet, and the
-/// derivation must land on the same id. The interners are append-only, so
-/// this is unobservable through the query API; window closure mirrors the
-/// treatment of program body constants (a guard-bound variable may serve
-/// as an indexed base).
-pub(crate) fn intern_pattern(
-    pattern: &[Bind<'_>],
-    alphabet: &mut Alphabet,
-    store: &mut SeqStore,
-) -> Vec<(usize, SeqId)> {
-    let mut out = Vec::new();
-    for (i, b) in pattern.iter().enumerate() {
-        if let Bind::Bound(s) = b {
-            let syms = alphabet.seq_of_str(s);
-            let id = store.intern_vec(syms);
-            store.close_windows(id);
-            out.push((i, id));
-        }
-    }
     out
 }
 
@@ -212,13 +157,44 @@ impl Engine {
     /// [`EvalConfig::threads`] controls the match-phase worker count
     /// (`0` ⇒ all available cores); results are bit-for-bit identical for
     /// every setting — see the `eval` module docs on determinism.
+    ///
+    /// A thin wrapper over [`EngineSession`]: the engine's interners and
+    /// registry move into a session, the database is seeded, the session
+    /// runs once, and the interners (grown by the evaluation) and the
+    /// unchanged registry move back, on the error path too.
     pub fn evaluate_with(
         &mut self,
         program: &Program,
         db: &Database,
         config: &EvalConfig,
     ) -> Result<Model, EvalError> {
-        evaluate(program, db, &mut self.store, &self.registry, config)
+        let mut session = self.open_seeded(program, db, config)?;
+        let outcome = session.run();
+        let model = self.take_back(session);
+        outcome.map(|_| model)
+    }
+
+    /// Move the interners and registry into a session over `program` with
+    /// `db` seeded as its base facts. A compile error leaves the engine as
+    /// it was; otherwise hand them back with [`Engine::take_back`].
+    fn open_seeded(
+        &mut self,
+        program: &Program,
+        db: &Database,
+        config: &EvalConfig,
+    ) -> Result<EngineSession, EvalError> {
+        let compiled = crate::compile::compile(program)?;
+        let mut session = EngineSession::open_compiled(std::mem::take(self), compiled, *config);
+        session.seed_db(db);
+        Ok(session)
+    }
+
+    /// Reclaim the interners and registry from a session opened by
+    /// [`Engine::open_seeded`], returning its interpretation.
+    fn take_back(&mut self, session: EngineSession) -> Model {
+        let (engine, model) = session.into_parts();
+        *self = engine;
+        model
     }
 
     /// Open a persistent [`EngineSession`] over `program`, consuming the
@@ -331,10 +307,10 @@ impl Engine {
     /// filtering and sorting [`Engine::rendered_tuples`] of a full
     /// [`Engine::evaluate_with`] run).
     ///
-    /// One-shot: the transformation is rerun per call. Sessions cache the
-    /// transformed program per adornment —
-    /// [`crate::session::EngineSession::query_bound`] is the repeated
-    /// point-query API.
+    /// One-shot: a thin wrapper that seeds a throwaway [`EngineSession`]
+    /// with `db` and asks it. Sessions cache the transformed program per
+    /// adornment — [`crate::session::EngineSession::query_bound`] is the
+    /// repeated point-query API.
     pub fn query_bound_with(
         &mut self,
         program: &Program,
@@ -343,54 +319,9 @@ impl Engine {
         pattern: &[Bind<'_>],
         config: &EvalConfig,
     ) -> Result<Vec<Vec<String>>, EvalError> {
-        let compiled = crate::compile::compile(program).map_err(EvalError::Compile)?;
-        let bound = intern_pattern(pattern, &mut self.alphabet, &mut self.store);
-        let goal = compiled.preds.lookup(pred);
-        let derivable = goal.is_some_and(|g| compiled.clauses.iter().any(|c| c.head.pred == g));
-        if !derivable {
-            // Asserted-only (or unknown) predicate: its extent is exactly
-            // the database's facts — no evaluation needed.
-            let mut out: Vec<Vec<String>> = db
-                .iter()
-                .filter(|(p, t)| {
-                    *p == pred
-                        && t.len() == pattern.len()
-                        && bound.iter().all(|&(i, id)| t[i] == id)
-                })
-                .map(|(_, t)| {
-                    t.iter()
-                        .map(|&id| render_seq(&self.alphabet, &self.store, id))
-                        .collect()
-                })
-                .collect();
-            out.sort();
-            out.dedup();
-            return Ok(out);
-        }
-        let goal = goal.expect("derivable implies interned");
-        let magic = magic_transform(
-            &compiled,
-            goal,
-            &Bind::adornment(pattern),
-            &MagicOptions::default(),
-        );
-        for id in magic.program.constants() {
-            self.store.close_windows(id);
-        }
-        let mut fx = Fixpoint::new(&magic.program);
-        for (p, tuple) in db.iter() {
-            let pid = fx.pred_id(p);
-            fx.assert_fact(&mut self.store, pid, tuple.into());
-        }
-        let seed: Box<[SeqId]> = bound.iter().map(|&(_, id)| id).collect();
-        fx.seed_demand(magic.seed, seed);
-        fx.run(&magic.program, &mut self.store, &self.registry, config)?;
-        Ok(filter_bound_answers(
-            Some(fx.facts().relation(goal)),
-            pattern.len(),
-            &bound,
-            &self.alphabet,
-            &self.store,
-        ))
+        let mut session = self.open_seeded(program, db, config)?;
+        let answers = session.query_bound(pred, pattern);
+        self.take_back(session);
+        answers
     }
 }

@@ -95,9 +95,13 @@
 //! Example 1.5's `rep2` or Example 1.6's `echo`. Budgets are checked as the
 //! commit phase inserts facts, not just between rounds.
 //!
-//! Two strategies are provided: [`Strategy::Naive`] (the literal T-operator
-//! iteration — the executable specification) and [`Strategy::SemiNaive`]
-//! (delta-driven; differentially tested against naive). Semi-naive fires
+//! Both strategies run through the one round loop ([`Fixpoint::run`]).
+//! [`Strategy::SemiNaive`] (the default) walks the program's SCC schedule
+//! ([`crate::analysis::Schedule`]) with delta-driven rounds.
+//! [`Strategy::Naive`] is the same loop over a single stratum holding every
+//! clause, with every task planned full in every round: the literal
+//! T-operator iteration, kept as the executable specification that
+//! semi-naive is differentially tested against. Semi-naive fires
 //! each clause once per body-literal occurrence of a grown predicate, with
 //! that occurrence restricted to the delta, occurrences *before* it
 //! restricted to the pre-round prefix, and occurrences after it unrestricted
@@ -119,12 +123,9 @@
 pub mod interp;
 pub mod matcher;
 
-use crate::compile::{
-    compile, CBase, CBody, CIdx, CSeq, CompileError, CompiledProgram, PredId, PredTable,
-};
-use crate::database::Database;
+use crate::analysis::Stratum;
+use crate::compile::{CBase, CBody, CIdx, CSeq, CompileError, CompiledProgram, PredId, PredTable};
 use crate::registry::TransducerRegistry;
-use crate::Program;
 use interp::{hash_tuple, FactStore, Relation, CAND_DUP};
 use matcher::{solve_body, Bindings, Delta, MatchEnv};
 use seqlog_sequence::{
@@ -144,33 +145,11 @@ pub enum Strategy {
     SemiNaive,
 }
 
-/// How semi-naive rounds are scheduled over the program's clauses.
-///
-/// Both modes compute the same least fixpoint (differentially fuzzed) and
-/// are each bit-for-bit deterministic across thread counts; they differ in
-/// which clauses a round scans, so [`EvalStats::rounds`] and
-/// [`EvalStats::derivations`] are comparable only within one mode.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Scheduling {
-    /// Walk the compiled program's SCC condensation
-    /// ([`crate::analysis::Schedule`]) in topological order, running
-    /// semi-naive rounds only over the current stratum's clauses and
-    /// skipping strata whose inputs have not changed (default).
-    #[default]
-    Stratified,
-    /// Scan every clause in every round (the pre-stratification loop) —
-    /// kept as the differential oracle for the stratified scheduler.
-    Global,
-}
-
 /// Evaluation budgets and strategy selection.
 #[derive(Clone, Copy, Debug)]
 pub struct EvalConfig {
     /// Strategy to use.
     pub strategy: Strategy,
-    /// Round scheduling for [`Strategy::SemiNaive`] (ignored under
-    /// [`Strategy::Naive`], which is inherently global).
-    pub scheduling: Scheduling,
     /// Maximum T-operator rounds.
     pub max_rounds: usize,
     /// Maximum total facts.
@@ -219,7 +198,6 @@ impl Default for EvalConfig {
     fn default() -> Self {
         Self {
             strategy: Strategy::SemiNaive,
-            scheduling: Scheduling::Stratified,
             max_rounds: 10_000,
             max_facts: 1_000_000,
             max_domain: 1_000_000,
@@ -475,65 +453,6 @@ struct HeadBuf {
     error: Option<HeadError>,
 }
 
-/// Evaluate `program` over `db` to the least fixpoint.
-pub fn evaluate(
-    program: &Program,
-    db: &Database,
-    store: &mut SeqStore,
-    registry: &TransducerRegistry,
-    config: &EvalConfig,
-) -> Result<Model, EvalError> {
-    let compiled = compile(program)?;
-    evaluate_compiled(&compiled, db, store, registry, config)
-}
-
-/// Evaluate an already-compiled program.
-pub fn evaluate_compiled(
-    program: &CompiledProgram,
-    db: &Database,
-    store: &mut SeqStore,
-    registry: &TransducerRegistry,
-    config: &EvalConfig,
-) -> Result<Model, EvalError> {
-    // Compile-time transducer fusion: collapse chained 1-input transducer
-    // calls in clause heads into single fused machines (a pure rewrite —
-    // the extent is bit-for-bit identical either way).
-    let fusion_store;
-    let (program, registry) = if config.danger_disable_fusion {
-        (program, registry)
-    } else {
-        let pass = crate::analysis::fuse::fuse_program(
-            program,
-            registry,
-            &crate::analysis::FuseLimits::default(),
-        );
-        match pass.fused {
-            Some((rewritten, machines)) => {
-                let mut reg = registry.clone();
-                for (name, machine) in machines {
-                    reg.register(name, machine);
-                }
-                fusion_store = (rewritten, reg);
-                (&fusion_store.0, &fusion_store.1)
-            }
-            None => (program, registry),
-        }
-    };
-    // Window-close program constants so the match phase can resolve any
-    // indexed term by read-only lookup (domain members are closed by
-    // `insert_closed`; this extends the invariant to constant bases).
-    for id in program.constants() {
-        store.close_windows(id);
-    }
-    let mut fx = Fixpoint::new(program);
-    // Seed: database atoms are clauses with empty bodies (Definition 4).
-    for (pred, tuple) in db.iter() {
-        fx.assert_named(store, pred, tuple.into());
-    }
-    fx.run(program, store, registry, config)?;
-    Ok(fx.into_model())
-}
-
 /// What one [`Fixpoint::assert_fact_full`] actually changed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AssertOutcome {
@@ -549,11 +468,13 @@ pub struct AssertOutcome {
 /// construction, together with the bookkeeping the round loop needs to
 /// *re-enter* evaluation after new base facts arrive.
 ///
-/// [`evaluate_compiled`] is a thin wrapper over this type: seed a fresh
-/// `Fixpoint` from the database and [`run`](Fixpoint::run) it to
-/// quiescence. A [`crate::session::EngineSession`] instead keeps one alive
-/// across updates: [`assert_fact`](Fixpoint::assert_fact) inserts new base
-/// facts after a fixpoint has been reached — closing the extended active
+/// Every evaluation goes through a [`crate::session::EngineSession`], which
+/// owns one of these. Batch evaluation
+/// ([`crate::engine::Engine::evaluate_with`]) seeds a fresh `Fixpoint` from
+/// the database and [`run`](Fixpoint::run)s it to quiescence once; a
+/// long-lived session instead keeps it alive across updates:
+/// [`assert_fact`](Fixpoint::assert_fact) inserts new base facts after a
+/// fixpoint has been reached — closing the extended active
 /// domain over their sequences at assert time, exactly as initial seeding
 /// does — and the next `run` resumes the three-phase round loop with exactly
 /// those facts as the semi-naive delta.
@@ -603,8 +524,7 @@ impl Fixpoint {
     /// as a copy of the program's, so compiled `PredId`s address relations
     /// directly. The caller is responsible for window-closing program
     /// constants ([`SeqStore::close_windows`]) before the first
-    /// [`run`](Fixpoint::run), as [`evaluate_compiled`] and
-    /// [`crate::session::EngineSession`] both do.
+    /// [`run`](Fixpoint::run), as [`crate::session::EngineSession`] does.
     pub fn new(program: &CompiledProgram) -> Self {
         Self {
             facts: FactStore::with_preds(program.preds.clone()),
@@ -666,12 +586,6 @@ impl Fixpoint {
             new_fact: true,
             new_base,
         }
-    }
-
-    /// [`assert_fact`](Fixpoint::assert_fact) by predicate name.
-    pub fn assert_named(&mut self, store: &mut SeqStore, pred: &str, tuple: Box<[SeqId]>) -> bool {
-        let pid = self.facts.pred_id(pred);
-        self.assert_fact(store, pid, tuple)
     }
 
     /// True when `tuple` is recorded as a base (asserted/seeded) fact.
@@ -830,14 +744,7 @@ impl Fixpoint {
         virgin: bool,
         domain_settled: bool,
     ) -> Self {
-        let mut domain = ExtendedDomain::new();
-        for (_, rel) in facts.relations() {
-            for tuple in rel.iter() {
-                for &id in tuple {
-                    domain.insert_closed(store, id);
-                }
-            }
-        }
+        let domain = domain_of(store, &facts, &[]);
         let domain_done = if domain_settled { domain.len() } else { 0 };
         Self {
             facts,
@@ -928,11 +835,12 @@ impl Fixpoint {
     /// [`crate::session::EngineSession`] nevertheless poisons on error;
     /// retrying is a `Fixpoint`-level affordance.
     ///
-    /// Under the default [`Scheduling::Stratified`] the round loop walks
-    /// the program's SCC condensation in topological order (see
-    /// [`Fixpoint::run_stratified`]); [`Scheduling::Global`] — and
-    /// [`Strategy::Naive`], which is inherently global — scan every clause
-    /// in every round. Both converge to the same `lfp(T_{P,db})`.
+    /// There is one round loop ([`Fixpoint::run_stratified`]).
+    /// [`Strategy::SemiNaive`] walks the program's SCC condensation in
+    /// topological order; [`Strategy::Naive`] runs the same loop over a
+    /// single stratum holding every clause, planning every clause in full
+    /// in every round — the literal T-operator. Both converge to the same
+    /// `lfp(T_{P,db})`.
     pub fn run(
         &mut self,
         program: &CompiledProgram,
@@ -940,173 +848,42 @@ impl Fixpoint {
         registry: &TransducerRegistry,
         config: &EvalConfig,
     ) -> Result<(), EvalError> {
-        if config.strategy == Strategy::SemiNaive && config.scheduling == Scheduling::Stratified {
-            self.run_stratified(program, store, registry, config)
-        } else {
-            self.run_global(program, store, registry, config)
+        match config.strategy {
+            Strategy::SemiNaive => {
+                let strata = &program.schedule.strata;
+                self.run_stratified(program, strata, false, store, registry, config)
+            }
+            Strategy::Naive => {
+                let all = Stratum {
+                    clauses: (0..program.clauses.len() as u32).collect(),
+                    constructive: program.clauses.iter().any(|c| c.constructive),
+                    ..Stratum::default()
+                };
+                let strata = std::slice::from_ref(&all);
+                self.run_stratified(program, strata, true, store, registry, config)
+            }
         }
     }
 
-    /// The unstratified round loop: every round scans every clause.
-    fn run_global(
-        &mut self,
-        program: &CompiledProgram,
-        store: &mut SeqStore,
-        registry: &TransducerRegistry,
-        config: &EvalConfig,
-    ) -> Result<(), EvalError> {
-        let threads = match config.threads {
-            0 => default_threads(),
-            n => n,
-        };
-        check_budgets(&self.facts, &self.domain, config, &mut self.stats)?;
-
-        let rounds_at_entry = self.stats.rounds;
-        let any_constructive = program.clauses.iter().any(|c| c.constructive);
-        let mut members: Vec<SeqId> = Vec::new();
-        let mut tasks: Vec<MatchTask> = Vec::new();
-
-        loop {
-            if self.stats.rounds - rounds_at_entry >= config.max_rounds {
-                finalize_stats(&mut self.stats, &self.facts, &self.domain);
-                return Err(EvalError::Budget {
-                    kind: BudgetKind::Rounds,
-                    stats: self.stats,
-                });
-            }
-            self.stats.rounds += 1;
-
-            let sizes_now = self.facts.sizes();
-            let domain_now = self.domain.len();
-            let full_round = self.virgin || config.strategy == Strategy::Naive;
-
-            // Plan the round's match tasks.
-            tasks.clear();
-            for (ci, clause) in program.clauses.iter().enumerate() {
-                if full_round {
-                    tasks.push(MatchTask {
-                        clause: ci,
-                        delta: None,
-                    });
-                    continue;
-                }
-                // Domain-sensitive clauses re-run in full whenever the
-                // domain grew — *including* body-empty ones like
-                // `p(X, X) :- true.`, whose free head variables range over
-                // the domain (checked before the ground-clause skip below:
-                // skipping first loses their new-member instantiations,
-                // both on session resume and in late batch rounds).
-                let domain_grew = domain_now > self.domain_done;
-                if clause.domain_sensitive && domain_grew {
-                    tasks.push(MatchTask {
-                        clause: ci,
-                        delta: None,
-                    });
-                    continue;
-                }
-                // Semi-naive: ground facts fire only in the full first
-                // round (and above, when they are domain-sensitive).
-                if clause.body.is_empty() {
-                    continue;
-                }
-                for (li, lit) in clause.body.iter().enumerate() {
-                    let CBody::Atom(atom) = lit else {
-                        continue;
-                    };
-                    let before = self.sizes_done.get(atom.pred.index()).copied().unwrap_or(0);
-                    let now = sizes_now.get(atom.pred.index()).copied().unwrap_or(0);
-                    let mut from = before;
-                    while from < now {
-                        let to = (from + DELTA_CHUNK).min(now);
-                        tasks.push(MatchTask {
-                            clause: ci,
-                            delta: Some((li, from, to)),
-                        });
-                        from = to;
-                    }
-                }
-            }
-
-            // Snapshot for free-variable enumeration: substitutions in this
-            // round range over the domain of the interpretation entering it.
-            // Only domain-sensitive clauses enumerate members (every other
-            // clause binds all slots from matched facts), so the snapshot is
-            // taken only when the plan contains one.
-            members.clear();
-            if tasks
-                .iter()
-                .any(|t| program.clauses[t.clause].domain_sensitive)
-            {
-                members.extend(self.domain.iter());
-            }
-
-            // Phase 1: read-only matching + frozen head evaluation,
-            // sharded across workers.
-            let mut bufs = match_eval_round(
-                program,
-                &tasks,
-                store,
-                &self.facts,
-                &self.domain,
-                &members,
-                &self.sizes_done,
-                registry,
-                config,
-                threads,
-            );
-
-            // Phases 2 + 3: sharded commit, then the deterministic merge
-            // in task order.
-            let added = commit_round(
-                program,
-                &tasks,
-                &mut bufs,
-                store,
-                &mut self.facts,
-                &mut self.domain,
-                config,
-                &mut self.stats,
-                threads,
-                any_constructive,
-            )?;
-
-            // Watermarks (and the virgin flag) advance only once the round
-            // has fully committed: a mid-commit error (`?` above) leaves
-            // them untouched, so the interrupted round's delta re-fires on
-            // a later run instead of being silently lost — re-matching is
-            // idempotent (the fact store dedupes), which is what makes an
-            // errored `Fixpoint` safe to retry with larger budgets.
-            self.sizes_done = sizes_now;
-            self.domain_done = domain_now;
-            self.virgin = false;
-
-            if added == 0 {
-                break;
-            }
-        }
-
-        finalize_stats(&mut self.stats, &self.facts, &self.domain);
-        Ok(())
-    }
-
-    /// The SCC-stratified round loop — the [`Scheduling::Stratified`]
-    /// default for [`Strategy::SemiNaive`].
+    /// The round loop, over `strata` in order.
     ///
-    /// Strata ([`crate::analysis::Schedule`]) are visited in topological
-    /// order; within a stratum, semi-naive rounds run over only that
-    /// stratum's clauses until it quiesces. A predicate is only ever
-    /// inserted into by its own (head) stratum's clauses, so when a
-    /// stratum runs, every input from an earlier stratum is already
+    /// Strata are visited in topological order; within a stratum, rounds
+    /// run over only that stratum's clauses until it quiesces. A predicate
+    /// is only ever inserted into by its own (head) stratum's clauses, so
+    /// when a stratum runs, every input from an earlier stratum is already
     /// settled — except that commits in later strata can still grow the
     /// **extended active domain**, which re-arms earlier strata's
     /// domain-sensitive clauses. An outer pass loop therefore repeats the
-    /// topological sweep until a full pass derives nothing.
+    /// topological sweep until a full pass derives nothing (a lone stratum
+    /// has nothing to re-arm it, so its sweep runs once).
     ///
-    /// A stratum whose input deltas are empty and whose domain watermark
-    /// is current plans zero tasks and is skipped without paying a round.
-    /// This is the *downstream cone* property: a session assert into
-    /// predicate `p` re-runs only `p`'s stratum and the strata downstream
-    /// of it, at a per-skipped-stratum cost of one planning scan.
+    /// With `naive` every clause is planned in full in every round — no
+    /// deltas, no skipping. Otherwise rounds are semi-naive, and a stratum
+    /// whose input deltas are empty and whose domain watermark is current
+    /// plans zero tasks and is skipped without paying a round. This is the
+    /// *downstream cone* property: a session assert into predicate `p`
+    /// re-runs only `p`'s stratum and the strata downstream of it, at a
+    /// per-skipped-stratum cost of one planning scan.
     ///
     /// Determinism is inherited from the three-phase rounds: stratum order,
     /// each round's task list, and the task-order merge depend only on
@@ -1119,19 +896,17 @@ impl Fixpoint {
     /// quiescence every stratum has processed every input, so they
     /// collapse to the final sizes. A mid-run error leaves the entry
     /// watermarks in place and a later run re-derives the interrupted
-    /// rounds (idempotent — the fact store dedupes), exactly like the
-    /// global loop; durable-session snapshot formats are unaffected.
+    /// rounds (idempotent — the fact store dedupes); durable-session
+    /// snapshot formats are unaffected.
     fn run_stratified(
         &mut self,
         program: &CompiledProgram,
+        strata: &[Stratum],
+        naive: bool,
         store: &mut SeqStore,
         registry: &TransducerRegistry,
         config: &EvalConfig,
     ) -> Result<(), EvalError> {
-        let threads = match config.threads {
-            0 => default_threads(),
-            n => n,
-        };
         check_budgets(&self.facts, &self.domain, config, &mut self.stats)?;
 
         let rounds_at_entry = self.stats.rounds;
@@ -1143,33 +918,37 @@ impl Fixpoint {
             });
         }
 
-        let schedule = &program.schedule;
-        let ns = schedule.strata.len();
+        let ns = strata.len();
         // Per-stratum watermarks; `None` means "this stratum has not run
         // in this call yet — measure its delta from the global watermarks".
         let mut done: Vec<Option<Vec<usize>>> = vec![None; ns];
         let mut sdomain: Vec<usize> = vec![self.domain_done; ns];
         let mut svirgin: Vec<bool> = vec![self.virgin; ns];
-        let mut members: Vec<SeqId> = Vec::new();
         let mut tasks: Vec<MatchTask> = Vec::new();
+        let mut members: Vec<SeqId> = Vec::new();
 
         loop {
             let mut pass_added = false;
-            for (si, stratum) in schedule.strata.iter().enumerate() {
+            for (si, stratum) in strata.iter().enumerate() {
                 if stratum.clauses.is_empty() {
                     continue; // source stratum: database-only predicates
                 }
                 loop {
                     let domain_now = self.domain.len();
                     let domain_grew = domain_now > sdomain[si];
-                    let full = svirgin[si];
+                    let full = naive || svirgin[si];
 
-                    // Plan this stratum round; planning mirrors the global
-                    // loop, restricted to the stratum's clauses.
+                    // Plan this stratum round.
                     tasks.clear();
                     for &ci in &stratum.clauses {
                         let ci = ci as usize;
                         let clause = &program.clauses[ci];
+                        // Domain-sensitive clauses re-run in full whenever
+                        // the domain grew — *including* body-empty ones
+                        // like `p(X, X) :- true.`, whose free head
+                        // variables range over the domain (checked before
+                        // the ground-clause skip below: skipping first
+                        // loses their new-member instantiations).
                         if full || (clause.domain_sensitive && domain_grew) {
                             tasks.push(MatchTask {
                                 clause: ci,
@@ -1177,6 +956,8 @@ impl Fixpoint {
                             });
                             continue;
                         }
+                        // Semi-naive: ground facts fire only in the full
+                        // first round (and above, when domain-sensitive).
                         if clause.body.is_empty() {
                             continue;
                         }
@@ -1212,43 +993,17 @@ impl Fixpoint {
                             stats: self.stats,
                         });
                     }
-                    self.stats.rounds += 1;
 
                     let sizes_now = self.facts.sizes();
-                    members.clear();
-                    if tasks
-                        .iter()
-                        .any(|t| program.clauses[t.clause].domain_sensitive)
-                    {
-                        members.extend(self.domain.iter());
-                    }
-                    let sizes_before: &[usize] = match &done[si] {
-                        Some(v) => v,
-                        None => &self.sizes_done,
-                    };
-                    let mut bufs = match_eval_round(
+                    let added = self.round(
                         program,
                         &tasks,
+                        done[si].as_deref(),
+                        stratum.constructive,
+                        &mut members,
                         store,
-                        &self.facts,
-                        &self.domain,
-                        &members,
-                        sizes_before,
                         registry,
                         config,
-                        threads,
-                    );
-                    let added = commit_round(
-                        program,
-                        &tasks,
-                        &mut bufs,
-                        store,
-                        &mut self.facts,
-                        &mut self.domain,
-                        config,
-                        &mut self.stats,
-                        threads,
-                        stratum.constructive,
                     )?;
                     done[si] = Some(sizes_now);
                     sdomain[si] = domain_now;
@@ -1260,14 +1015,13 @@ impl Fixpoint {
                     }
                 }
             }
-            if !pass_added {
+            if !pass_added || ns == 1 {
                 break;
             }
         }
 
         // Contract: every `run` call executes at least one round — a fully
-        // settled state pays the same single quiescence round the global
-        // loop does.
+        // settled state pays a single quiescence round.
         if self.stats.rounds == rounds_at_entry {
             self.stats.rounds += 1;
         }
@@ -1280,6 +1034,69 @@ impl Fixpoint {
 
         finalize_stats(&mut self.stats, &self.facts, &self.domain);
         Ok(())
+    }
+
+    /// One round over a planned task list: phase 1 ([`match_eval_round`])
+    /// then phases 2 + 3 ([`commit_round`]). Every round goes through here
+    /// — the round loop's and DRed's re-derive round alike. Counts the
+    /// round and returns how many facts it added. Delta tasks measure
+    /// their pre-round prefix against `sizes_before` (`None`: the global
+    /// watermarks); `constructive` is the commit hint of
+    /// [`Stratum::constructive`] for the planned clauses; `members` is
+    /// scratch for the round's domain snapshot, reused across rounds.
+    #[allow(clippy::too_many_arguments)]
+    fn round(
+        &mut self,
+        program: &CompiledProgram,
+        tasks: &[MatchTask],
+        sizes_before: Option<&[usize]>,
+        constructive: bool,
+        members: &mut Vec<SeqId>,
+        store: &mut SeqStore,
+        registry: &TransducerRegistry,
+        config: &EvalConfig,
+    ) -> Result<usize, EvalError> {
+        let threads = match config.threads {
+            0 => default_threads(),
+            n => n,
+        };
+        self.stats.rounds += 1;
+        // Snapshot for free-variable enumeration: substitutions in this
+        // round range over the domain of the interpretation entering it.
+        // Only domain-sensitive clauses enumerate members (every other
+        // clause binds all slots from matched facts), so the snapshot is
+        // taken only when the plan contains one.
+        members.clear();
+        if tasks
+            .iter()
+            .any(|t| program.clauses[t.clause].domain_sensitive)
+        {
+            members.extend(self.domain.iter());
+        }
+        let mut bufs = match_eval_round(
+            program,
+            tasks,
+            store,
+            &self.facts,
+            &self.domain,
+            members,
+            sizes_before.unwrap_or(&self.sizes_done),
+            registry,
+            config,
+            threads,
+        );
+        commit_round(
+            program,
+            tasks,
+            &mut bufs,
+            store,
+            &mut self.facts,
+            &mut self.domain,
+            config,
+            &mut self.stats,
+            threads,
+            constructive,
+        )
     }
 
     /// Retract base facts and restore the least fixpoint of the surviving
@@ -1422,54 +1239,28 @@ impl Fixpoint {
                             clause: ci,
                             delta: Some((li, pos as usize, pos as usize + 1)),
                         };
-                        buf.clear();
-                        run_match_task(
+                        let hp = clause.head.pred;
+                        let facts = &self.facts;
+                        eval_task_settled(
                             program,
                             &task,
                             store,
-                            &self.facts,
+                            facts,
                             &self.domain,
                             &members,
                             &sizes_full,
+                            registry,
+                            config,
                             &mut buf,
-                        );
-                        self.stats.derivations += buf.count as u64;
-                        // Frozen head evaluation + immediate settle: the
-                        // loop is sequential, so "apply this task's pending
-                        // interns now" is the one-task intern-merge.
-                        let mut hb = eval_task_heads(clause, &buf, &*store, registry, config);
-                        let arity = clause.head.args.len();
-                        settle_headbuf(&mut hb, arity, store);
-                        let hp = clause.head.pred;
-                        let mut rank = 0usize;
-                        for (r, &st) in hb.status.iter().enumerate() {
-                            if let Some(&(calls, steps)) = hb.tstats.get(r) {
-                                self.stats.transducer_calls += calls;
-                                self.stats.transducer_steps += steps;
-                            }
-                            match st {
-                                REC_UNDEF => {}
-                                REC_TUPLE => {
-                                    let t = &hb.tuples[rank * arity..(rank + 1) * arity];
-                                    if let Some(hpos) = self.facts.position_of(hp, t) {
-                                        if marked[hp.index()].insert(hpos) {
-                                            work.push((hp, hpos));
-                                        }
+                            &mut self.stats,
+                            |t| {
+                                if let Some(hpos) = facts.position_of(hp, t) {
+                                    if marked[hp.index()].insert(hpos) {
+                                        work.push((hp, hpos));
                                     }
-                                    rank += 1;
                                 }
-                                _ => {
-                                    debug_assert_eq!(st, REC_ERR);
-                                    let err = hb.error.clone().expect("REC_ERR carries its cause");
-                                    return Err(surface_head_error(
-                                        err,
-                                        &self.facts,
-                                        &self.domain,
-                                        &mut self.stats,
-                                    ));
-                                }
-                            }
-                        }
+                            },
+                        )?;
                     }
                 }
             }
@@ -1496,7 +1287,7 @@ impl Fixpoint {
         // The extended active domain induced by the surviving facts
         // (Definition 4: the domain is a function of the interpretation, so
         // it shrinks with it).
-        let new_domain = rebuild_surviving_domain(store, &self.facts, &marked);
+        let new_domain = domain_of(store, &self.facts, &marked);
 
         // --- Pass 3: physical deletion + sound watermark regression ---
         // Per predicate, the new watermark is the number of *surviving*
@@ -1560,7 +1351,6 @@ impl Fixpoint {
                 .map(|(i, _)| i as u32)
                 .collect();
             let domain_now = self.domain.len();
-            let rederive_members: Vec<SeqId> = self.domain.iter().collect();
             let tasks: Vec<MatchTask> = program
                 .clauses
                 .iter()
@@ -1572,34 +1362,17 @@ impl Fixpoint {
                 })
                 .collect();
             if !tasks.is_empty() {
-                let threads = match config.threads {
-                    0 => default_threads(),
-                    n => n,
-                };
-                self.stats.rounds += 1;
-                let mut bufs = match_eval_round(
+                let constructive = tasks.iter().any(|t| program.clauses[t.clause].constructive);
+                let mut members = Vec::new();
+                self.round(
                     program,
                     &tasks,
+                    None,
+                    constructive,
+                    &mut members,
                     store,
-                    &self.facts,
-                    &self.domain,
-                    &rederive_members,
-                    &self.sizes_done,
                     registry,
                     config,
-                    threads,
-                );
-                commit_round(
-                    program,
-                    &tasks,
-                    &mut bufs,
-                    store,
-                    &mut self.facts,
-                    &mut self.domain,
-                    config,
-                    &mut self.stats,
-                    threads,
-                    tasks.iter().any(|t| program.clauses[t.clause].constructive),
                 )?;
                 // `sizes_done` stays regressed: pending asserts, re-seeded
                 // base facts, and this round's additions all sit beyond it
@@ -1612,20 +1385,18 @@ impl Fixpoint {
     }
 }
 
-/// The extended active domain induced by the unmarked facts: closure of
-/// every sequence occurring in a surviving tuple (Definition 2; program
-/// constants are window-closed in the store but, as in batch evaluation,
-/// only enter the domain through facts).
-fn rebuild_surviving_domain(
-    store: &mut SeqStore,
-    facts: &FactStore,
-    marked: &[FxHashSet<u32>],
-) -> ExtendedDomain {
+/// The extended active domain induced by the facts whose positions
+/// `marked` does not list (per `PredId`; missing entries mark nothing):
+/// closure of every sequence occurring in a surviving tuple, in relation
+/// order (Definition 2; program constants are window-closed in the store
+/// but, as in batch evaluation, only enter the domain through facts).
+/// `facts` must hold no tombstones.
+fn domain_of(store: &mut SeqStore, facts: &FactStore, marked: &[FxHashSet<u32>]) -> ExtendedDomain {
     let mut domain = ExtendedDomain::new();
     for (pred, rel) in facts.relations() {
-        let dead = &marked[pred.index()];
+        let dead = marked.get(pred.index());
         for pos in 0..rel.len() {
-            if dead.contains(&(pos as u32)) {
+            if dead.is_some_and(|d| d.contains(&(pos as u32))) {
                 continue;
             }
             for &id in rel.tuple(pos) {
@@ -1905,32 +1676,10 @@ fn commit_round(
         "non-constructive round produced pending interns"
     );
     if constructive {
+        let misalign = config.danger_skip_epoch_freeze && threads > 1;
         for &ti in &order {
-            let HeadBuf {
-                pending,
-                needs_patch,
-                tuples,
-                hashes,
-                ..
-            } = &mut bufs[ti as usize];
-            if pending.is_empty() {
-                continue;
-            }
-            let mut resolved = pending.apply(store);
-            if config.danger_skip_epoch_freeze && threads > 1 && resolved.len() >= 2 {
-                resolved.rotate_left(1); // mutant: misaligned resolution table
-            }
             let arity = program.clauses[tasks[ti as usize].clause].head.args.len();
-            for &rank in needs_patch.iter() {
-                let at = rank as usize * arity;
-                let tuple = &mut tuples[at..at + arity];
-                for id in tuple.iter_mut() {
-                    if id.is_provisional() {
-                        *id = resolved[id.provisional_index()];
-                    }
-                }
-                hashes[rank as usize] = hash_tuple(tuple);
-            }
+            settle_headbuf(&mut bufs[ti as usize], arity, store, misalign);
         }
     }
 
@@ -2092,13 +1841,12 @@ pub fn tp_step(
     let members: Vec<SeqId> = domain.iter().collect();
     let mut out = Vec::new();
     let mut buf = RecipeBuf::default();
-    for ci in 0..program.clauses.len() {
+    for (ci, clause) in program.clauses.iter().enumerate() {
         let task = MatchTask {
             clause: ci,
             delta: None,
         };
-        buf.clear();
-        run_match_task(
+        eval_task_settled(
             program,
             &task,
             store,
@@ -2106,32 +1854,12 @@ pub fn tp_step(
             domain,
             &members,
             &[],
+            registry,
+            config,
             &mut buf,
-        );
-        let clause = &program.clauses[ci];
-        let mut hb = eval_task_heads(clause, &buf, store, registry, config);
-        let arity = clause.head.args.len();
-        settle_headbuf(&mut hb, arity, store);
-        let mut rank = 0usize;
-        for (r, &st) in hb.status.iter().enumerate() {
-            if let Some(&(calls, steps)) = hb.tstats.get(r) {
-                stats.transducer_calls += calls;
-                stats.transducer_steps += steps;
-            }
-            match st {
-                REC_UNDEF => {}
-                REC_TUPLE => {
-                    let tuple = &hb.tuples[rank * arity..(rank + 1) * arity];
-                    out.push((clause.head.pred, tuple.into()));
-                    rank += 1;
-                }
-                _ => {
-                    debug_assert_eq!(st, REC_ERR);
-                    let err = hb.error.clone().expect("REC_ERR carries its cause");
-                    return Err(surface_head_error(err, facts, domain, &mut stats));
-                }
-            }
-        }
+            &mut stats,
+            |t| out.push((clause.head.pred, t.into())),
+        )?;
     }
     Ok(out)
 }
@@ -2226,14 +1954,77 @@ fn eval_task_heads(
     out
 }
 
-/// Apply one task's pending interns and patch its tuples in place — the
-/// single-task form of the intern-merge stage, used by the DRed marking
-/// loop and [`tp_step`] (whose matching is sequential to begin with).
-fn settle_headbuf(buf: &mut HeadBuf, arity: usize, store: &mut SeqStore) {
+/// Match one task and evaluate its heads sequentially, settling its
+/// pending interns at once (the one-task intern-merge), and hand each
+/// defined head tuple to `emit` in recipe order. Recipes and transducer
+/// work accumulate into `stats`; a head-evaluation error surfaces exactly
+/// as the round loop raises it. The sequential path shared by DRed's
+/// over-delete loop and [`tp_step`].
+#[allow(clippy::too_many_arguments)]
+fn eval_task_settled(
+    program: &CompiledProgram,
+    task: &MatchTask,
+    store: &mut SeqStore,
+    facts: &FactStore,
+    domain: &ExtendedDomain,
+    members: &[SeqId],
+    sizes_before: &[usize],
+    registry: &TransducerRegistry,
+    config: &EvalConfig,
+    scratch: &mut RecipeBuf,
+    stats: &mut EvalStats,
+    mut emit: impl FnMut(&[SeqId]),
+) -> Result<(), EvalError> {
+    let clause = &program.clauses[task.clause];
+    scratch.clear();
+    run_match_task(
+        program,
+        task,
+        store,
+        facts,
+        domain,
+        members,
+        sizes_before,
+        scratch,
+    );
+    stats.derivations += scratch.count as u64;
+    let mut hb = eval_task_heads(clause, scratch, store, registry, config);
+    let arity = clause.head.args.len();
+    settle_headbuf(&mut hb, arity, store, false);
+    let mut rank = 0usize;
+    for (r, &st) in hb.status.iter().enumerate() {
+        if let Some(&(calls, steps)) = hb.tstats.get(r) {
+            stats.transducer_calls += calls;
+            stats.transducer_steps += steps;
+        }
+        match st {
+            REC_UNDEF => {}
+            REC_TUPLE => {
+                emit(&hb.tuples[rank * arity..(rank + 1) * arity]);
+                rank += 1;
+            }
+            _ => {
+                debug_assert_eq!(st, REC_ERR);
+                let err = hb.error.clone().expect("REC_ERR carries its cause");
+                return Err(surface_head_error(err, facts, domain, stats));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Apply one task's pending interns to the store and patch its tuples'
+/// provisional ids to the resolved handles, re-hashing the patched tuples
+/// — one task's step of the intern-merge stage. `misalign` is the
+/// skipped-epoch-freeze mutant: rotate the resolution table by one.
+fn settle_headbuf(buf: &mut HeadBuf, arity: usize, store: &mut SeqStore, misalign: bool) {
     if buf.pending.is_empty() {
         return;
     }
-    let resolved = buf.pending.apply(store);
+    let mut resolved = buf.pending.apply(store);
+    if misalign && resolved.len() >= 2 {
+        resolved.rotate_left(1); // mutant: misaligned resolution table
+    }
     for &rank in &buf.needs_patch {
         let at = rank as usize * arity;
         let tuple = &mut buf.tuples[at..at + arity];

@@ -69,9 +69,7 @@ pub use analysis::{
 pub use ast::{Atom, BodyLit, Clause, IndexTerm, IndexedBase, Program, SeqTerm};
 pub use database::Database;
 pub use engine::Engine;
-pub use eval::{
-    BudgetKind, EvalConfig, EvalError, EvalStats, Fixpoint, Model, Scheduling, Strategy,
-};
+pub use eval::{BudgetKind, EvalConfig, EvalError, EvalStats, Fixpoint, Model, Strategy};
 pub use session::{DurabilityOptions, EngineSession};
 pub use wal::RecoveryError;
 
@@ -83,7 +81,7 @@ pub mod prelude {
     pub use crate::ast::Program;
     pub use crate::database::Database;
     pub use crate::engine::Engine;
-    pub use crate::eval::{EvalConfig, EvalError, Model, Scheduling, Strategy};
+    pub use crate::eval::{EvalConfig, EvalError, Model, Strategy};
     pub use crate::guard::guard_program;
     pub use crate::model::is_model;
     pub use crate::registry::TransducerRegistry;

@@ -35,6 +35,11 @@ impl TransducerRegistry {
         self.map.insert(name.into(), machine);
     }
 
+    /// Drop the machine bound to `name`, if any.
+    pub(crate) fn unregister(&mut self, name: &str) {
+        self.map.remove(name);
+    }
+
     /// Register a finite-state transducer *relation* under `name`. The
     /// machine is kept for analysis (functionality, dead states); when it
     /// is deterministic and representable in the runtime model it is also

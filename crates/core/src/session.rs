@@ -1,8 +1,9 @@
 //! Persistent evaluation sessions: a serving-shaped wrapper around the
 //! resumable fixpoint.
 //!
-//! Batch evaluation ([`crate::eval::evaluate`]) recomputes `lfp(T_{P,db})`
-//! from scratch on every call. Under continuously arriving base facts that
+//! Batch evaluation ([`Engine::evaluate_with`]) recomputes `lfp(T_{P,db})`
+//! from scratch on every call (it opens a throwaway session, seeds the
+//! database, runs once, and takes the model out). Under continuously arriving base facts that
 //! is the dominant cost: the least fixpoint is *monotone* in the database
 //! (Definitions 2–3 — `T_{P,db}` only grows when `db` grows), so a model
 //! computed once can be extended by resuming the semi-naive round loop from
@@ -162,9 +163,7 @@ use crate::analysis::Bind;
 use crate::ast::Program;
 use crate::compile::{compile, CompiledProgram, PredId};
 use crate::database::Database;
-use crate::engine::{
-    filter_bound_answers, intern_pattern, render_answers_with, render_tuples_with, Engine,
-};
+use crate::engine::{render_answers_with, render_seq, render_tuples_with, Engine};
 use crate::eval::interp::Relation;
 use crate::eval::{AssertOutcome, BudgetKind, EvalConfig, EvalError, EvalStats, Fixpoint, Model};
 use crate::registry::TransducerRegistry;
@@ -312,7 +311,17 @@ impl EngineSession {
     /// first asserts (or immediately, to settle a program with ground
     /// clauses and no base facts).
     pub fn open(engine: Engine, program: &Program, config: EvalConfig) -> Result<Self, EvalError> {
-        let mut compiled = compile(program)?;
+        Ok(Self::open_compiled(engine, compile(program)?, config))
+    }
+
+    /// [`open`](EngineSession::open) over an already-compiled program.
+    /// Infallible, so a caller that moved its engine in always gets it
+    /// back through [`into_parts`](EngineSession::into_parts).
+    pub(crate) fn open_compiled(
+        engine: Engine,
+        mut compiled: CompiledProgram,
+        config: EvalConfig,
+    ) -> Self {
         let Engine {
             alphabet,
             mut store,
@@ -339,7 +348,7 @@ impl EngineSession {
             store.close_windows(id);
         }
         let fx = Fixpoint::new(&compiled);
-        Ok(Self {
+        Self {
             alphabet,
             store,
             registry,
@@ -351,7 +360,41 @@ impl EngineSession {
             fusion_diagnostics: pass.diagnostics,
             fusion_decisions: pass.decisions,
             demand_cache: HashMap::new(),
-        })
+        }
+    }
+
+    /// Seed every fact of `db` as a base fact by raw
+    /// [`Fixpoint::assert_fact`] — batch evaluation's seeding
+    /// (Definition 4: database atoms are clauses with empty bodies). Unlike
+    /// [`assert_db`](EngineSession::assert_db) nothing is logged and
+    /// budgets are not checked per fact: the next run enforces them, as
+    /// batch evaluation always has.
+    pub(crate) fn seed_db(&mut self, db: &Database) {
+        for (pred, tuple) in db.iter() {
+            let pid = self.fx.pred_id(pred);
+            self.fx.assert_fact(&mut self.store, pid, tuple.into());
+        }
+    }
+
+    /// Consume the session into the engine it was opened from and its
+    /// current interpretation as a [`Model`] (moved, not cloned). The
+    /// machines the fusion pass registered at open time are dropped, so
+    /// the engine's registry is exactly the one it was opened with.
+    pub(crate) fn into_parts(self) -> (Engine, Model) {
+        let mut registry = self.registry;
+        if !self.config.danger_disable_fusion {
+            for d in &self.fusion_decisions {
+                if d.applied && d.clause.is_some() {
+                    registry.unregister(&d.fused_name);
+                }
+            }
+        }
+        let engine = Engine {
+            alphabet: self.alphabet,
+            store: self.store,
+            registry,
+        };
+        (engine, self.fx.into_model())
     }
 
     /// Open a **durable** session backed by `dir`. On a fresh (or empty)
@@ -1470,6 +1513,59 @@ impl EngineSession {
             &self.config,
         )
     }
+}
+
+/// Filter a relation by a bound-argument pattern and render the matches,
+/// sorted and deduplicated — the answer shape of `query_bound`. `bound`
+/// lists `(position, required id)` pairs; tuples of a different arity than
+/// `arity` never match.
+fn filter_bound_answers(
+    rel: Option<&Relation>,
+    arity: usize,
+    bound: &[(usize, SeqId)],
+    alphabet: &Alphabet,
+    store: &SeqStore,
+) -> Vec<Vec<String>> {
+    let mut out: Vec<Vec<String>> = match rel {
+        None => Vec::new(),
+        Some(rel) => rel
+            .iter()
+            .filter(|t| t.len() == arity && bound.iter().all(|&(i, id)| t[i] == id))
+            .map(|t| {
+                t.iter()
+                    .map(|&id| render_seq(alphabet, store, id))
+                    .collect()
+            })
+            .collect(),
+    };
+    out.sort();
+    out.dedup();
+    out
+}
+
+/// Intern a `query_bound` pattern's bound values and window-close them in
+/// the store, returning `(position, id)` pairs. Interning (rather than a
+/// failable lookup) matters for completeness: a constructive program can
+/// *derive* the queried value even when nothing interned it yet, and the
+/// derivation must land on the same id. The interners are append-only, so
+/// this is unobservable through the query API; window closure mirrors the
+/// treatment of program body constants (a guard-bound variable may serve
+/// as an indexed base).
+fn intern_pattern(
+    pattern: &[Bind<'_>],
+    alphabet: &mut Alphabet,
+    store: &mut SeqStore,
+) -> Vec<(usize, SeqId)> {
+    let mut out = Vec::new();
+    for (i, b) in pattern.iter().enumerate() {
+        if let Bind::Bound(s) = b {
+            let syms = alphabet.seq_of_str(s);
+            let id = store.intern_vec(syms);
+            store.close_windows(id);
+            out.push((i, id));
+        }
+    }
+    out
 }
 
 /// A consistency violation between snapshot, log, and caller environment.

@@ -1,5 +1,6 @@
 //! Edge-case and failure-injection tests for the engine.
 
+use seqlog_core::analysis::Bind;
 use seqlog_core::database::Database;
 use seqlog_core::engine::Engine;
 use seqlog_core::eval::{BudgetKind, EvalConfig, EvalError};
@@ -471,4 +472,108 @@ fn wide_round_landing_exactly_on_the_facts_budget_succeeds_at_every_thread_count
             other => panic!("expected Facts budget error under {cfg:?}, got {other:?}"),
         }
     }
+}
+
+/// An engine with two swap/collapse machines `f` and `g` registered, and
+/// a program whose head chains them (`@f(@g(X))`), which the compile-time
+/// fusion pass collapses into one synthesized `fused$…` machine.
+fn fused_chain_engine() -> (Engine, seqlog_core::ast::Program) {
+    use seqlog_transducer::library;
+    let mut e = Engine::new();
+    let s: Vec<_> = "ab".chars().map(|c| e.alphabet.intern_char(c)).collect();
+    let f = library::mapper(&mut e.alphabet, "f", &[(s[0], s[1]), (s[1], s[0])]);
+    let g = library::mapper(&mut e.alphabet, "g", &[(s[0], s[0]), (s[1], s[0])]);
+    e.register_transducer("f", f);
+    e.register_transducer("g", g);
+    let p = e.parse_program("p(X, @f(@g(X))) :- r(X).").unwrap();
+    assert!(
+        e.report(&p).unwrap().fusion.iter().any(|d| d.applied),
+        "the chain must actually fuse for these pins to mean anything"
+    );
+    (e, p)
+}
+
+fn registered(e: &Engine) -> Vec<String> {
+    let mut names: Vec<String> = e.registry.names().map(str::to_string).collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn evaluate_hands_back_the_registry_without_fused_machines() {
+    let (mut e, p) = fused_chain_engine();
+    let before = registered(&e);
+    let mut db = Database::new();
+    for w in ["ab", "ba"] {
+        e.add_fact(&mut db, "r", &[w]);
+    }
+    let m = e.evaluate_with(&p, &db, &EvalConfig::default()).unwrap();
+    assert_eq!(m.tuples("p").len(), 2);
+    assert_eq!(
+        registered(&e),
+        before,
+        "fused machines leaked into the engine"
+    );
+    // And again with fusion off: nothing is registered or dropped either.
+    let off = EvalConfig {
+        danger_disable_fusion: true,
+        ..EvalConfig::default()
+    };
+    e.evaluate_with(&p, &db, &off).unwrap();
+    assert_eq!(registered(&e), before);
+}
+
+#[test]
+fn failed_evaluate_leaves_the_engine_usable() {
+    let mut e = Engine::new();
+    let early = e.seq("early");
+    let p = e.parse_program("pair(X, Y) :- s(X), s(Y).").unwrap();
+    let mut db = Database::new();
+    for w in ["a", "b", "c", "d"] {
+        e.add_fact(&mut db, "s", &[w]);
+    }
+    let tight = EvalConfig {
+        max_facts: 5,
+        ..EvalConfig::default()
+    };
+    assert!(matches!(
+        e.evaluate_with(&p, &db, &tight),
+        Err(EvalError::Budget {
+            kind: BudgetKind::Facts,
+            ..
+        })
+    ));
+    // The interners came back: earlier ids still render, and the engine
+    // parses and evaluates as before.
+    assert_eq!(e.render(early), "early");
+    let p2 = e.parse_program("q(X) :- s(X).").unwrap();
+    let m = e.evaluate(&p2, &db).unwrap();
+    assert_eq!(e.answers(&m, "q"), ["a", "b", "c", "d"]);
+    let m = e.evaluate(&p, &db).unwrap();
+    assert_eq!(m.tuples("pair").len(), 16);
+}
+
+#[test]
+fn query_bound_on_a_fused_chain_equals_the_filtered_evaluation() {
+    let (mut e, p) = fused_chain_engine();
+    let before = registered(&e);
+    let mut db = Database::new();
+    for w in ["ab", "ba", "abba", "b"] {
+        e.add_fact(&mut db, "r", &[w]);
+    }
+    let m = e.evaluate(&p, &db).unwrap();
+    for key in ["ab", "abba", "zz"] {
+        let mut want: Vec<Vec<String>> = e
+            .rendered_tuples(&m, "p")
+            .into_iter()
+            .filter(|t| t[0] == key)
+            .collect();
+        want.sort();
+        want.dedup();
+        let got = e
+            .query_bound(&p, &db, "p", &[Bind::Bound(key), Bind::Free])
+            .unwrap();
+        assert_eq!(got, want, "query_bound p({key}, _)");
+    }
+    assert_eq!(registered(&e), before);
 }

@@ -1,15 +1,16 @@
-//! Pinned behavior of the SCC-stratified evaluation schedule
-//! ([`seqlog_core::analysis::Schedule`], `Scheduling::Stratified` — the
-//! default): extent equality against the global semi-naive loop,
-//! bit-for-bit thread determinism *within* the stratified mode, the
-//! downstream-cone property for session delta updates (an assert that
-//! feeds only a late stratum never pays rounds for settled upstream
-//! strata), domain-feedback re-arming of domain-sensitive strata, and the
-//! one-quiescence-round contract under both scheduling modes.
+//! Pinned behavior of the one round loop: the SCC-stratified evaluation
+//! schedule ([`seqlog_core::analysis::Schedule`], walked by the default
+//! semi-naive strategy) and the naive strategy (the same loop over one
+//! all-clause stratum). Pins extent equality against naive, naive's full
+//! stats, bit-for-bit thread determinism, the downstream-cone property for
+//! session delta updates (an assert that feeds only a late stratum never
+//! pays rounds for settled upstream strata), domain-feedback re-arming of
+//! domain-sensitive strata, and the one-quiescence-round contract under
+//! both strategies.
 
 use seqlog_core::database::Database;
 use seqlog_core::engine::Engine;
-use seqlog_core::eval::{EvalConfig, Model, Scheduling, Strategy};
+use seqlog_core::eval::{EvalConfig, EvalStats, Model, Strategy};
 use seqlog_core::session::EngineSession;
 
 /// One differential case: program source, base facts, observed predicates.
@@ -59,6 +60,29 @@ const PROGRAMS: &[Case] = &[
     ),
 ];
 
+/// Naive-strategy fixtures whose full [`EvalStats`] are pinned: a
+/// self-join, a ground domain-sensitive clause fed by late constructive
+/// domain growth, and a four-stratum constructive chain.
+const NAIVE_PINS: &[(&str, &[(&str, &str)])] = &[
+    (
+        "q(X, Y) :- p(X), p(Y).\n\
+         p(X[2:end]) :- p(X), X != \"\".",
+        &[("p", "abc"), ("p", "xy")],
+    ),
+    (
+        "pair(X, X) :- true.\n\
+         grown(Y ++ Y) :- r(Y).",
+        &[("r", "ab")],
+    ),
+    (
+        "s1(X ++ \"a\") :- s0(X).\n\
+         s2(X ++ \"b\") :- s1(X).\n\
+         s3(X ++ \"c\") :- s2(X).\n\
+         s4(X ++ \"d\") :- s3(X).",
+        &[("s0", "x"), ("s0", "yz")],
+    ),
+];
+
 fn eval(src: &str, facts: &[(&str, &str)], config: &EvalConfig) -> (Engine, Model) {
     let mut e = Engine::new();
     let p = e.parse_program(src).unwrap();
@@ -84,47 +108,65 @@ fn extents_sorted(e: &Engine, m: &Model, preds: &[&str]) -> Vec<Vec<Vec<String>>
     out
 }
 
-#[test]
-fn stratified_matches_global_extensionally() {
-    for (src, facts, preds) in PROGRAMS {
-        let stratified = EvalConfig::default();
-        assert_eq!(stratified.scheduling, Scheduling::Stratified, "default");
-        let global = EvalConfig {
-            scheduling: Scheduling::Global,
-            ..EvalConfig::default()
-        };
-        let (es, ms) = eval(src, facts, &stratified);
-        let (eg, mg) = eval(src, facts, &global);
-        assert_eq!(
-            extents_sorted(&es, &ms, preds),
-            extents_sorted(&eg, &mg, preds),
-            "stratified and global models differ as sets for\n{src}"
-        );
-        assert_eq!(
-            ms.stats.facts, mg.stats.facts,
-            "fact counts differ for\n{src}"
-        );
-        assert_eq!(
-            ms.stats.domain_size, mg.stats.domain_size,
-            "domain sizes differ for\n{src}"
-        );
+fn naive() -> EvalConfig {
+    EvalConfig {
+        strategy: Strategy::Naive,
+        ..EvalConfig::default()
     }
 }
 
 #[test]
 fn stratified_matches_naive_extensionally() {
-    let naive = EvalConfig {
-        strategy: Strategy::Naive,
-        ..EvalConfig::default()
-    };
     for (src, facts, preds) in PROGRAMS {
         let (es, ms) = eval(src, facts, &EvalConfig::default());
-        let (en, mn) = eval(src, facts, &naive);
+        let (en, mn) = eval(src, facts, &naive());
         assert_eq!(
             extents_sorted(&es, &ms, preds),
             extents_sorted(&en, &mn, preds),
             "stratified and naive models differ as sets for\n{src}"
         );
+    }
+}
+
+/// The naive strategy is the one round loop over a single all-clause
+/// stratum, every clause planned in full every round. Its full stats are
+/// pinned to the values of the dedicated global loop it replaced: the
+/// single-stratum pass adds no extra quiescence round, and the last round
+/// (which derives nothing new) is the only quiescence round paid.
+#[test]
+fn naive_stats_are_pinned() {
+    let expected = [
+        EvalStats {
+            rounds: 4,
+            facts: 42,
+            domain_size: 10,
+            max_seq_len: 3,
+            derivations: 108,
+            ..EvalStats::default()
+        },
+        EvalStats {
+            rounds: 3,
+            facts: 10,
+            domain_size: 8,
+            max_seq_len: 4,
+            derivations: 23,
+            ..EvalStats::default()
+        },
+        EvalStats {
+            rounds: 5,
+            facts: 10,
+            domain_size: 27,
+            max_seq_len: 6,
+            derivations: 28,
+            ..EvalStats::default()
+        },
+    ];
+    for ((src, facts), want) in NAIVE_PINS.iter().zip(expected) {
+        for threads in [1usize, 2, 4, 8] {
+            let config = EvalConfig { threads, ..naive() };
+            let (_, m) = eval(src, facts, &config);
+            assert_eq!(m.stats, want, "naive stats at threads={threads} for\n{src}");
+        }
     }
 }
 
@@ -191,13 +233,14 @@ fn assert_feeding_late_stratum_skips_settled_upstream_strata() {
     );
 }
 
-/// Quiescence contract, both scheduling modes: a run over a settled model
-/// still pays exactly one (synthetic, for stratified) round.
+/// Quiescence contract, both strategies: a run over a settled model still
+/// pays exactly one round (synthetic under semi-naive, whose strata all
+/// plan empty; a full round deriving nothing under naive).
 #[test]
 fn settled_run_costs_one_quiescence_round_in_both_modes() {
-    for scheduling in [Scheduling::Stratified, Scheduling::Global] {
+    for strategy in [Strategy::SemiNaive, Strategy::Naive] {
         let config = EvalConfig {
-            scheduling,
+            strategy,
             ..EvalConfig::default()
         };
         let mut s = session("suffix(X[N:end]) :- r(X).", config);
@@ -208,7 +251,7 @@ fn settled_run_costs_one_quiescence_round_in_both_modes() {
         assert_eq!(
             s.stats().rounds,
             settled + 1,
-            "settled run must cost one quiescence round under {scheduling:?}"
+            "settled run must cost one quiescence round under {strategy:?}"
         );
     }
 }

@@ -12,10 +12,11 @@
 # surviving database), and the durability bench (wal_overhead: the same
 # assert burst unlogged vs WAL-logged vs fsync-per-record; recovery_time:
 # open_durable replaying a 513-record log tail vs loading a checkpointed
-# snapshot), and the stratified_eval bench (SCC-stratified scheduling vs
-# the global semi-naive loop on a 24-stratum constructive chain plus a
-# ground domain-sensitive clause — the workload where the global loop
-# re-enumerates the domain once per round), and the point_query bench
+# snapshot), and the stratified_eval bench (SCC-stratified semi-naive
+# evaluation of a 24-stratum constructive chain plus a ground
+# domain-sensitive clause, pinned against naive evaluation — the workload
+# where scanning every clause every round would re-enumerate the domain
+# once per round), and the point_query bench
 # (demand-driven bound-argument query via the magic-set transformation —
 # one chain's cone out of a ~100k-edge recursive closure — vs full
 # fixpoint evaluation plus filtering, with a ≥10x separation asserted

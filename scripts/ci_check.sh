@@ -13,8 +13,11 @@
 # transducer-algebra property suite (trim/determinize/compose/minimize
 # vs the extensional oracle on random machines, with the skip-trim and
 # swapped-composition mutants being caught) and the fusion differential
-# (fusion on ≡ off bit-for-bit at threads 1/2/4/8) — the
-# SL001..SL009 lint analyzer over the
+# (fusion on ≡ off bit-for-bit at threads 1/2/4/8), the analysis
+# soundness suite (stratified semi-naive ≡ naive extensionally, SL003 and
+# SL004 verdicts sound against evaluation), the perfbench smoke run (every
+# workload at --size tiny; its batch-eval path is Engine::evaluate_with,
+# the session-backed front door), the SL001..SL009 lint analyzer over the
 # program corpus with machine-level lints, and a zero-warning clippy
 # pass over every
 # target. The fuzz
@@ -76,6 +79,19 @@ echo "    paper's transducer programs, evaluated with the compile-time"
 echo "    fusion pass on and off — extents bit-for-bit identical at threads"
 echo "    1/2/4/8, and the fused route provably doing less transducer work)"
 cargo test -q --test fuzz_fusion
+
+echo "==> cargo test -q --test fuzz_analysis (analysis soundness: semi-naive"
+echo "    over the SCC-stratified schedule ≡ naive evaluation extensionally,"
+echo "    SL003-flagged clauses never contribute, SL004 bodies never match —"
+echo "    200 generated cases per property)"
+cargo test -q --test fuzz_analysis
+
+echo "==> perfbench smoke (cargo test --release --manifest-path"
+echo "    perfbench/Cargo.toml): every workload at --size tiny, traced and"
+echo "    untraced, answers checked against the benchmark's own oracles —"
+echo "    its batch evaluations go through Engine::evaluate_with, the"
+echo "    session-backed front door"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> lint analyzer over the program corpus (examples/programs/*.sdl):"
 echo "    SL001..SL009 diagnostics must match each file's % expect: directive"

@@ -2,9 +2,10 @@
 //! subsystem (`seqlog_core::analysis`) against live evaluation, over the
 //! same generated case family as `fuzz_differential.rs`:
 //!
-//! * **Scheduling equivalence** — the SCC-stratified scheduler (the
-//!   default) and the global semi-naive loop compute the same model as a
-//!   set of relations, for every generated case.
+//! * **Schedule soundness** — semi-naive rounds over the SCC-stratified
+//!   schedule (the default) and naive evaluation (the literal T-operator:
+//!   every clause in full, every round) compute the same model as a set of
+//!   relations, for every generated case.
 //! * **Dead-clause soundness** — a clause the closed-world report flags
 //!   `SL003 dead-clause` never contributes a tuple: deleting every flagged
 //!   clause leaves the model unchanged.
@@ -21,7 +22,7 @@ use seqlog_testkit::{batch_outcome, cases, FuzzCase};
 use sequence_datalog::core::analysis::{LintCode, ProgramReport};
 use sequence_datalog::core::ast::Program;
 use sequence_datalog::core::compile::{compile, PredId};
-use sequence_datalog::core::{Database, Engine, EvalConfig, Scheduling};
+use sequence_datalog::core::{Database, Engine, EvalConfig, Strategy};
 use std::collections::BTreeMap;
 
 type Extents = BTreeMap<String, Vec<Vec<String>>>;
@@ -73,21 +74,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
     #[test]
-    fn stratified_and_global_scheduling_agree_on_extents(case in cases()) {
+    fn stratified_and_naive_agree_on_extents(case in cases()) {
         let stratified = batch_outcome(&case, &EvalConfig::default())
             .extents_sorted()
             .unwrap_or_else(|| panic!("default budgets must fit generated cases:\n{case}"));
-        let global_cfg = EvalConfig {
-            scheduling: Scheduling::Global,
+        let naive_cfg = EvalConfig {
+            strategy: Strategy::Naive,
             ..EvalConfig::default()
         };
-        let global = batch_outcome(&case, &global_cfg)
+        let naive = batch_outcome(&case, &naive_cfg)
             .extents_sorted()
-            .unwrap_or_else(|| panic!("global scheduling must also settle:\n{case}"));
+            .unwrap_or_else(|| panic!("naive evaluation must also settle:\n{case}"));
         prop_assert_eq!(
             stratified,
-            global,
-            "stratified and global scheduling disagree extensionally\n{}",
+            naive,
+            "stratified semi-naive and naive evaluation disagree extensionally\n{}",
             case
         );
     }
