@@ -559,13 +559,47 @@ pub fn solve_body(
     delta: Option<Delta<'_>>,
     on_match: &mut dyn FnMut(&mut Bindings, &MatchEnv<'_>),
 ) {
+    let mut st = Search::for_clause(clause);
+    search(clause, env, delta, all_literals(clause), &mut st, on_match);
+}
+
+/// [`solve_body`] for one head instance `goal`: the head's plain-variable
+/// arguments are pre-bound from the goal tuple before the search starts, so
+/// the greedy literal choice begins from their bound columns. A variable
+/// repeated in the head must meet equal values, and a goal of the wrong
+/// arity matches nothing. Arguments that are not plain variables (indexed,
+/// constructive or constant terms) are not constrained here: a
+/// substitution reaching `on_match` may still evaluate the head to a tuple
+/// other than `goal`, and the caller compares.
+pub fn solve_body_bound(
+    clause: &CompiledClause,
+    env: &MatchEnv<'_>,
+    goal: &[SeqId],
+    on_match: &mut dyn FnMut(&mut Bindings, &MatchEnv<'_>),
+) {
+    if goal.len() != clause.head.args.len() {
+        return;
+    }
+    let mut st = Search::for_clause(clause);
+    for (arg, &v) in clause.head.args.iter().zip(goal) {
+        if let CSeq::Var(x) = arg {
+            match st.b.seq[*x as usize] {
+                Some(bound) if bound != v => return,
+                Some(_) => {}
+                None => st.bind_seq(*x, v),
+            }
+        }
+    }
+    search(clause, env, None, all_literals(clause), &mut st, on_match);
+}
+
+/// The bitmask of every body literal (the search's initial `remaining`).
+fn all_literals(clause: &CompiledClause) -> u128 {
     debug_assert!(clause.body.len() <= 128, "rejected at compile time");
-    let remaining: u128 = match clause.body.len() {
+    match clause.body.len() {
         128 => !0,
         n => (1u128 << n) - 1,
-    };
-    let mut st = Search::for_clause(clause);
-    search(clause, env, delta, remaining, &mut st, on_match);
+    }
 }
 
 /// Position window of one atom occurrence under a delta restriction: the
@@ -883,6 +917,29 @@ mod tests {
             solve_body(clause, &env, None, &mut |b, _| out.push(b.clone()));
             out
         }
+
+        /// [`solve_body_bound`] of a one-clause `rule` for the head goal
+        /// spelled by `goal`.
+        fn bound_matches(&mut self, rule: &str, goal: &[&str]) -> Vec<Bindings> {
+            let prog = parse_program(rule, &mut self.alphabet, &mut self.store).unwrap();
+            let cp = compile(&prog).unwrap();
+            let goal: Vec<SeqId> = goal
+                .iter()
+                .map(|g| self.store.intern_vec(self.alphabet.seq_of_str(g)))
+                .collect();
+            let facts = self.facts.realigned_to(&cp.preds);
+            let env = MatchEnv {
+                store: &self.store,
+                domain: &self.domain,
+                facts: &facts,
+                int_upper: self.domain.int_upper(),
+            };
+            let mut out = Vec::new();
+            solve_body_bound(&cp.clauses[0], &env, &goal, &mut |b, _| {
+                out.push(b.clone());
+            });
+            out
+        }
     }
 
     #[test]
@@ -1180,6 +1237,29 @@ mod tests {
             solutions.push(out);
         }
         assert_eq!(solutions[0], solutions[1]);
+    }
+
+    #[test]
+    fn bound_head_restricts_the_search_to_its_goal() {
+        let mut fx = Fixture::new();
+        fx.fact("edge", &["a", "b"]);
+        fx.fact("edge", &["b", "c"]);
+        fx.fact("edge", &["a", "d"]);
+        fx.fact("anc", &["b", "c"]);
+        fx.fact("anc", &["d", "c"]);
+        let rule = "anc(X, Z) :- edge(X, Y), anc(Y, Z).";
+        // anc(a, c) has two derivations, through b and through d.
+        let ms = fx.bound_matches(rule, &["a", "c"]);
+        assert_eq!(ms.len(), 2);
+        let a = fx.store.intern_vec(fx.alphabet.seq_of_str("a"));
+        assert!(ms.iter().all(|b| b.seq[0] == Some(a)));
+        assert!(fx.bound_matches(rule, &["b", "b"]).is_empty());
+        // A repeated head variable must meet equal values; a goal of the
+        // wrong arity matches nothing.
+        fx.fact("r", &["a"]);
+        assert_eq!(fx.bound_matches("p(X, X) :- r(X).", &["a", "a"]).len(), 1);
+        assert!(fx.bound_matches("p(X, X) :- r(X).", &["a", "b"]).is_empty());
+        assert!(fx.bound_matches("p(X, X) :- r(X).", &["a"]).is_empty());
     }
 
     #[test]

@@ -127,10 +127,8 @@ use crate::analysis::Stratum;
 use crate::compile::{CBase, CBody, CIdx, CSeq, CompileError, CompiledProgram, PredId, PredTable};
 use crate::registry::TransducerRegistry;
 use interp::{hash_tuple, FactStore, Relation, CAND_DUP};
-use matcher::{solve_body, Bindings, Delta, MatchEnv};
-use seqlog_sequence::{
-    DomainMark, ExtendedDomain, FxHashMap, FxHashSet, PendingInterns, SeqId, SeqStore, Sym,
-};
+use matcher::{solve_body, solve_body_bound, Bindings, Delta, MatchEnv};
+use seqlog_sequence::{ExtendedDomain, FxHashMap, FxHashSet, PendingInterns, SeqId, SeqStore, Sym};
 use seqlog_transducer::{ExecLimits, ExecStats};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -363,12 +361,29 @@ impl Model {
 }
 
 /// One shard of a round's match work: one clause, optionally restricted to
-/// a chunk `from..to` of body-literal `at`'s semi-naive delta.
+/// a chunk `from..to` of body-literal `at`'s semi-naive delta, or bound to
+/// a chunk of the round's goal tuples.
 #[derive(Clone, Copy, Debug)]
 struct MatchTask {
     clause: usize,
     /// `(at, from, to)` — `None` for a full (unrestricted) application.
     delta: Option<(usize, usize, usize)>,
+    /// `(from, to)` — head-bound re-derivation (DRed pass 4): match once
+    /// per goal tuple `goals[from..to]` of the round, with the head's plain
+    /// variables pre-bound from it, and admit only head instances equal to
+    /// their goal. `None` for an ordinary application.
+    goals: Option<(usize, usize)>,
+}
+
+impl MatchTask {
+    /// A full (unrestricted) application of clause `clause`.
+    fn full(clause: usize) -> Self {
+        Self {
+            clause,
+            delta: None,
+            goals: None,
+        }
+    }
 }
 
 /// Delta tuples per task. Fixed (never derived from the thread count) so
@@ -384,6 +399,9 @@ struct RecipeBuf {
     seqs: Vec<SeqId>,
     idxs: Vec<i64>,
     count: usize,
+    /// Per recipe of a goal task: the index of the goal it must derive.
+    /// Empty for every other task.
+    goal_of: Vec<usize>,
 }
 
 impl RecipeBuf {
@@ -394,6 +412,7 @@ impl RecipeBuf {
         self.seqs.clear();
         self.idxs.clear();
         self.count = 0;
+        self.goal_of.clear();
     }
 }
 
@@ -595,30 +614,32 @@ impl Fixpoint {
             .is_some_and(|r| r.contains(tuple))
     }
 
-    /// A restore point for [`Fixpoint::domain_truncate`].
-    pub fn domain_mark(&self) -> DomainMark {
-        self.domain.mark()
-    }
-
-    /// Roll the domain back to `mark` (see [`ExtendedDomain::truncate`]).
-    /// Only sound when nothing but asserts happened since the mark.
-    pub fn domain_truncate(&mut self, store: &SeqStore, mark: DomainMark) {
-        self.domain.truncate(store, mark);
-    }
-
     /// Reverse a *pending* assert (one made since the last run): withdraw
     /// the fact from the interpretation and the base set without any
-    /// Delete-and-Rederive maintenance. Sound only because an un-run fact
-    /// has no derived consequences and sits beyond every watermark; the
-    /// session uses this (plus [`Fixpoint::domain_truncate`]) to make batch
-    /// asserts failure-atomic. Leaves tombstones — the caller finishes a
-    /// rollback (however many facts it spans) with one
+    /// Delete-and-Rederive maintenance, and release its arguments from the
+    /// extended active domain. Sound only because an un-run fact has no
+    /// derived consequences and sits beyond every watermark; the session
+    /// uses this to make batch asserts failure-atomic. Undoing asserts
+    /// newest first removes exactly the domain members they introduced,
+    /// which sit at the tail of the member order, so the domain rollback
+    /// costs what the asserts added. Leaves fact tombstones — the caller
+    /// finishes a rollback (however many facts it spans) with one
     /// [`Fixpoint::compact_pending`]. Returns whether the fact was present.
-    pub fn unassert_pending(&mut self, pred: PredId, tuple: &[SeqId], drop_base: bool) -> bool {
+    pub fn unassert_pending(
+        &mut self,
+        store: &SeqStore,
+        pred: PredId,
+        tuple: &[SeqId],
+        drop_base: bool,
+    ) -> bool {
         if drop_base {
             self.drop_base_record(pred, tuple);
         }
-        self.facts.remove(pred, tuple)
+        let removed = self.facts.remove(pred, tuple);
+        if removed {
+            self.domain.release(store, tuple.iter().copied());
+        }
+        removed
     }
 
     /// Withdraw only the *base* record of a duplicate assert (the fact
@@ -744,7 +765,7 @@ impl Fixpoint {
         virgin: bool,
         domain_settled: bool,
     ) -> Self {
-        let domain = domain_of(store, &facts, &[]);
+        let domain = domain_of(store, &facts);
         let domain_done = if domain_settled { domain.len() } else { 0 };
         Self {
             facts,
@@ -950,10 +971,7 @@ impl Fixpoint {
                         // the ground-clause skip below: skipping first
                         // loses their new-member instantiations).
                         if full || (clause.domain_sensitive && domain_grew) {
-                            tasks.push(MatchTask {
-                                clause: ci,
-                                delta: None,
-                            });
+                            tasks.push(MatchTask::full(ci));
                             continue;
                         }
                         // Semi-naive: ground facts fire only in the full
@@ -977,6 +995,7 @@ impl Fixpoint {
                                 tasks.push(MatchTask {
                                     clause: ci,
                                     delta: Some((li, from, to)),
+                                    goals: None,
                                 });
                                 from = to;
                             }
@@ -998,6 +1017,7 @@ impl Fixpoint {
                     let added = self.round(
                         program,
                         &tasks,
+                        &[],
                         done[si].as_deref(),
                         stratum.constructive,
                         &mut members,
@@ -1039,16 +1059,18 @@ impl Fixpoint {
     /// One round over a planned task list: phase 1 ([`match_eval_round`])
     /// then phases 2 + 3 ([`commit_round`]). Every round goes through here
     /// — the round loop's and DRed's re-derive round alike. Counts the
-    /// round and returns how many facts it added. Delta tasks measure
-    /// their pre-round prefix against `sizes_before` (`None`: the global
-    /// watermarks); `constructive` is the commit hint of
-    /// [`Stratum::constructive`] for the planned clauses; `members` is
-    /// scratch for the round's domain snapshot, reused across rounds.
+    /// round and returns how many facts it added. Goal tasks index
+    /// `goals`; delta tasks measure their pre-round prefix against
+    /// `sizes_before` (`None`: the global watermarks); `constructive` is
+    /// the commit hint of [`Stratum::constructive`] for the planned
+    /// clauses; `members` is scratch for the round's domain snapshot,
+    /// reused across rounds.
     #[allow(clippy::too_many_arguments)]
     fn round(
         &mut self,
         program: &CompiledProgram,
         tasks: &[MatchTask],
+        goals: &[Box<[SeqId]>],
         sizes_before: Option<&[usize]>,
         constructive: bool,
         members: &mut Vec<SeqId>,
@@ -1076,6 +1098,7 @@ impl Fixpoint {
         let mut bufs = match_eval_round(
             program,
             tasks,
+            goals,
             store,
             &self.facts,
             &self.domain,
@@ -1117,36 +1140,46 @@ impl Fixpoint {
     ///    other literal ranging over the full pre-retraction store). This
     ///    over-approximates — facts with surviving alternative derivations
     ///    are marked as well — which is what makes it sound.
-    /// 2. **Domain shrinkage.** Facts derived by *domain-sensitive* clauses
-    ///    consult the extended active domain rather than body facts, so
-    ///    clause-body propagation cannot see their dependencies — and they
-    ///    can even keep an orphaned sequence in the domain circularly (a
-    ///    surviving `pair(ab, ab)` is the only remaining carrier of `ab`,
-    ///    and `ab`'s membership is the only justification of
-    ///    `pair(ab, ab)` — the `pair(X, X) :- true.` class of bug).
+    /// 2. **Domain-sensitive wipe.** Facts derived by *domain-sensitive*
+    ///    clauses consult the extended active domain rather than body
+    ///    facts, so clause-body propagation cannot see their dependencies —
+    ///    and they can even keep an orphaned sequence in the domain
+    ///    circularly (a surviving `pair(ab, ab)` is the only remaining
+    ///    carrier of `ab`, and `ab`'s membership is the only justification
+    ///    of `pair(ab, ab)` — the `pair(X, X) :- true.` class of bug).
     ///    Whenever anything is deleted, every fact under a domain-sensitive
-    ///    clause's head is therefore over-deleted too, the propagation
-    ///    re-runs, and the extended active domain is rebuilt from the
-    ///    surviving facts. Definition 4 makes the domain a function of the
-    ///    interpretation: when the facts that introduced a sequence go, its
-    ///    windows and the integers they pinned go too, and the re-derive
-    ///    pass restores exactly what the shrunken domain still supports.
-    /// 3. **Physical deletion.** Marked positions are tombstoned, relations
-    ///    compact (preserving surviving insertion order), the rebuilt
-    ///    domain is installed, surviving base facts that were over-deleted
-    ///    are re-seeded, and the semi-naive watermarks **regress soundly**:
-    ///    each predicate's watermark drops by the number of processed
-    ///    positions it lost, so pending (not yet run) asserts stay beyond
-    ///    it; the domain watermark resets.
-    /// 4. **Re-derive.** One targeted full round over the clauses that
-    ///    could re-derive a deleted fact (head predicate lost tuples, or
-    ///    domain-sensitive) restores alternative derivations, then the
-    ///    ordinary [`run`](Fixpoint::run) loop resumes semi-naive from the
-    ///    regressed watermarks to quiescence. The DRed invariant — after
-    ///    over-deletion the surviving interpretation is contained in the
-    ///    new least fixpoint — makes the result exactly
-    ///    `lfp(T_{P,db'})` for the surviving database `db'`, which is
-    ///    differentially fuzzed against fresh batch evaluation.
+    ///    clause's head is therefore over-deleted too, and the propagation
+    ///    re-runs.
+    /// 3. **Physical deletion and domain cascade.** The over-deleted tuples
+    ///    are read off in ascending position per predicate, then tombstoned
+    ///    and compacted away (surviving insertion order is preserved). The
+    ///    ones still recorded as base facts are re-seeded beyond the
+    ///    watermarks; the others become the re-derivation *goals*. Every
+    ///    argument of every deleted fact is then released from the
+    ///    extended active domain ([`ExtendedDomain::release`]): members no
+    ///    surviving fact reaches any more leave it — their windows and the
+    ///    integers they pinned with them — and survivors keep their
+    ///    chronological order. Definition 4 makes the domain a function of
+    ///    the interpretation, and the support counts compute exactly that
+    ///    function at the cost of what was deleted. The semi-naive
+    ///    watermarks **regress soundly**: each predicate's watermark drops
+    ///    by the number of processed positions it lost, so pending (not yet
+    ///    run) asserts stay beyond it; the domain watermark resets.
+    /// 4. **Re-derive.** One round restores alternative derivations of the
+    ///    goals. For each goal and each clause with its head predicate, the
+    ///    head's plain-variable arguments are bound from the goal and the
+    ///    body is matched over the surviving facts; a head instance enters
+    ///    (through the ordinary commit path) only when it equals its goal.
+    ///    Domain-sensitive clauses, whose instantiation set changed with
+    ///    the domain, and clauses whose head has no plain variable to bind
+    ///    are applied in full instead. The ordinary [`run`](Fixpoint::run)
+    ///    loop then resumes semi-naive from the regressed watermarks to
+    ///    quiescence. The DRed invariant — after over-deletion the
+    ///    surviving interpretation is contained in the new least fixpoint,
+    ///    and every fact of it derivable from the survivors was over-deleted
+    ///    and is a goal — makes the result exactly `lfp(T_{P,db'})` for the
+    ///    surviving database `db'`, which is differentially fuzzed against
+    ///    fresh batch evaluation.
     ///
     /// On error the state poisons at the session layer: unlike a failed
     /// grow-only `run`, a failed retraction may leave facts whose support
@@ -1218,7 +1251,12 @@ impl Fixpoint {
         // loop is sequential and worklist-ordered, hence deterministic for
         // every thread count.
         let sizes_full = self.facts.sizes();
-        let members: Vec<SeqId> = self.domain.iter().collect();
+        // Only domain-sensitive clauses enumerate members (as in `round`).
+        let members: Vec<SeqId> = if ds_heads.is_empty() {
+            Vec::new()
+        } else {
+            self.domain.iter().collect()
+        };
         let mut buf = RecipeBuf::default();
         let mut cursor = 0usize;
         let mut wiped = ds_heads.is_empty();
@@ -1238,6 +1276,7 @@ impl Fixpoint {
                         let task = MatchTask {
                             clause: ci,
                             delta: Some((li, pos as usize, pos as usize + 1)),
+                            goals: None,
                         };
                         let hp = clause.head.pred;
                         let facts = &self.facts;
@@ -1284,51 +1323,65 @@ impl Fixpoint {
                 }
             }
         }
-        // The extended active domain induced by the surviving facts
-        // (Definition 4: the domain is a function of the interpretation, so
-        // it shrinks with it).
-        let new_domain = domain_of(store, &self.facts, &marked);
 
-        // --- Pass 3: physical deletion + sound watermark regression ---
-        // Per predicate, the new watermark is the number of *surviving*
-        // processed positions: compaction preserves relative order, so the
-        // first `new_done[p]` surviving tuples are exactly the survivors of
-        // the processed prefix, and pending asserts stay beyond it.
+        // --- Pass 3: physical deletion, domain cascade, sound watermark
+        // regression. Per predicate, the new watermark is the number of
+        // *surviving* processed positions: compaction preserves relative
+        // order, so the first `new_done[p]` surviving tuples are exactly the
+        // survivors of the processed prefix, and pending asserts stay
+        // beyond it.
         let mut new_done: Vec<usize> = (0..nrels)
             .map(|i| self.sizes_done.get(i).copied().unwrap_or(0))
             .collect();
+        // Over-deleted tuples still recorded as base facts (re-seeded), the
+        // others (re-derivation goals, `goal_preds` holding each
+        // predicate's range of `goals`), and every argument of every
+        // deleted fact (released from the domain).
+        let mut reseed: Vec<(PredId, Box<[SeqId]>)> = Vec::new();
+        let mut goals: Vec<Box<[SeqId]>> = Vec::new();
+        let mut goal_preds: Vec<(PredId, usize, usize)> = Vec::new();
+        let mut released: Vec<SeqId> = Vec::new();
         for (pi, set) in marked.iter().enumerate() {
             if set.is_empty() {
                 continue;
             }
-            let removed_below = set.iter().filter(|&&p| (p as usize) < new_done[pi]).count();
-            new_done[pi] -= removed_below;
-            for &pos in set {
-                self.facts.remove_at(PredId(pi as u32), pos);
+            let pred = PredId(pi as u32);
+            let mut positions: Vec<u32> = set.iter().copied().collect();
+            positions.sort_unstable();
+            new_done[pi] -= positions.partition_point(|&p| (p as usize) < new_done[pi]);
+            let from = goals.len();
+            let rel = self.facts.relation(pred);
+            for &pos in &positions {
+                let tuple = rel.tuple(pos as usize);
+                released.extend_from_slice(tuple);
+                if self.is_base_fact(pred, tuple) {
+                    reseed.push((pred, tuple.into()));
+                } else {
+                    goals.push(tuple.into());
+                }
+            }
+            if goals.len() > from {
+                goal_preds.push((pred, from, goals.len()));
+            }
+            for &pos in &positions {
+                self.facts.remove_at(pred, pos);
             }
         }
         self.facts.compact();
-        self.domain = new_domain;
-
-        // Re-seed base facts the over-deletion removed (surviving base
-        // facts are the support re-derivation grows from). They land beyond
-        // the regressed watermarks, so the resumed loop treats them as
-        // delta facts.
-        for (pi, brel) in self.base.iter().enumerate() {
-            if marked.get(pi).is_none_or(FxHashSet::is_empty) {
-                continue;
-            }
-            let pred = PredId(pi as u32);
-            for t in brel.iter() {
-                if self.facts.insert(pred, t.into()) {
-                    let rel = self.facts.relation(pred);
-                    let inserted = rel.tuple(rel.len() - 1);
-                    for &id in inserted {
-                        self.domain.insert_closed(store, id);
-                    }
+        // Re-seed first, so members a re-seeded fact holds never leave the
+        // domain. Re-seeded facts land beyond the regressed watermarks: the
+        // resumed loop treats them as delta facts.
+        for (pred, tuple) in reseed {
+            if self.facts.insert(pred, tuple) {
+                let rel = self.facts.relation(pred);
+                for &id in rel.tuple(rel.len() - 1) {
+                    self.domain.insert_closed(store, id);
                 }
             }
         }
+        self.domain.release(store, released);
+        #[cfg(debug_assertions)]
+        self.assert_domain_is_closure(store);
 
         // Watermarks regress *before* the re-derive round commits: if that
         // round errors mid-commit, the regressed watermarks still cover the
@@ -1336,37 +1389,41 @@ impl Fixpoint {
         self.sizes_done = new_done;
         self.domain_done = 0;
 
-        // --- Pass 4: targeted re-derive round, then resume to quiescence.
-        // Only clauses that can re-derive a deleted fact need a full
-        // application: those whose head predicate lost tuples, plus every
-        // domain-sensitive clause (their instantiation set changed with the
-        // domain). All other clauses' conclusions are intact — the
-        // surviving store is a subset of the old one and their head
-        // relations lost nothing — so they are sound to skip.
+        // --- Pass 4: re-derive round, then resume to quiescence. Clauses
+        // whose head predicate has goals try to re-derive exactly those
+        // goals, bound from the head; domain-sensitive clauses (their
+        // instantiation set changed with the domain) and goal-carrying
+        // clauses with no plain head variable to bind run in full. Every
+        // other clause's conclusions are intact — the surviving store is a
+        // subset of the old one and none of its head tuples were lost
+        // without being re-seeded — so it is sound to skip.
         if !self.virgin {
-            let deleted_preds: FxHashSet<u32> = marked
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| !s.is_empty())
-                .map(|(i, _)| i as u32)
-                .collect();
             let domain_now = self.domain.len();
-            let tasks: Vec<MatchTask> = program
-                .clauses
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.domain_sensitive || deleted_preds.contains(&c.head.pred.0))
-                .map(|(ci, _)| MatchTask {
-                    clause: ci,
-                    delta: None,
-                })
-                .collect();
+            let mut tasks: Vec<MatchTask> = Vec::new();
+            for (ci, c) in program.clauses.iter().enumerate() {
+                let head_goals = goal_preds.iter().find(|g| g.0 == c.head.pred);
+                let bindable = c.head.args.iter().any(|a| matches!(a, CSeq::Var(_)));
+                if c.domain_sensitive || (head_goals.is_some() && !bindable) {
+                    tasks.push(MatchTask::full(ci));
+                } else if let Some(&(_, mut from, to)) = head_goals {
+                    while from < to {
+                        let end = (from + DELTA_CHUNK).min(to);
+                        tasks.push(MatchTask {
+                            clause: ci,
+                            delta: None,
+                            goals: Some((from, end)),
+                        });
+                        from = end;
+                    }
+                }
+            }
             if !tasks.is_empty() {
                 let constructive = tasks.iter().any(|t| program.clauses[t.clause].constructive);
                 let mut members = Vec::new();
                 self.round(
                     program,
                     &tasks,
+                    &goals,
                     None,
                     constructive,
                     &mut members,
@@ -1381,24 +1438,36 @@ impl Fixpoint {
                 self.domain_done = domain_now;
             }
         }
-        self.run(program, store, registry, config)
+        self.run(program, store, registry, config)?;
+        #[cfg(debug_assertions)]
+        self.assert_domain_is_closure(store);
+        Ok(())
+    }
+
+    /// Debug builds: the support-counted domain is exactly the closure a
+    /// rebuild from the facts computes ([`domain_of`]), as a set and in
+    /// `lmax`. Checked after DRed's physical deletion and at its end, so
+    /// every suite that retracts checks the cascade on every retraction.
+    #[cfg(debug_assertions)]
+    fn assert_domain_is_closure(&self, store: &mut SeqStore) {
+        let rebuilt = domain_of(store, &self.facts);
+        assert_eq!(self.domain.len(), rebuilt.len(), "domain size diverged");
+        assert!(
+            rebuilt.iter().all(|m| self.domain.contains(m)),
+            "domain members diverged"
+        );
+        assert_eq!(self.domain.max_len(), rebuilt.max_len(), "lmax diverged");
     }
 }
 
-/// The extended active domain induced by the facts whose positions
-/// `marked` does not list (per `PredId`; missing entries mark nothing):
-/// closure of every sequence occurring in a surviving tuple, in relation
-/// order (Definition 2; program constants are window-closed in the store
-/// but, as in batch evaluation, only enter the domain through facts).
-/// `facts` must hold no tombstones.
-fn domain_of(store: &mut SeqStore, facts: &FactStore, marked: &[FxHashSet<u32>]) -> ExtendedDomain {
+/// The extended active domain induced by `facts`: closure of every
+/// sequence occurring in a tuple, in relation order (Definition 2; program
+/// constants are window-closed in the store but, as in batch evaluation,
+/// only enter the domain through facts). `facts` must hold no tombstones.
+fn domain_of(store: &mut SeqStore, facts: &FactStore) -> ExtendedDomain {
     let mut domain = ExtendedDomain::new();
-    for (pred, rel) in facts.relations() {
-        let dead = marked.get(pred.index());
+    for (_, rel) in facts.relations() {
         for pos in 0..rel.len() {
-            if dead.is_some_and(|d| d.contains(&(pos as u32))) {
-                continue;
-            }
             for &id in rel.tuple(pos) {
                 domain.insert_closed(store, id);
             }
@@ -1441,6 +1510,10 @@ fn task_cost(
             })
             .sum()
     };
+    if let Some((from, to)) = task.goals {
+        // Each goal is one bound probe, not a scan.
+        return to - from;
+    }
     match task.delta {
         Some((at, from, to)) => (to - from).saturating_mul(1 + atoms_len(Some(at))),
         None => {
@@ -1463,6 +1536,7 @@ fn task_cost(
 fn match_eval_round(
     program: &CompiledProgram,
     tasks: &[MatchTask],
+    goals: &[Box<[SeqId]>],
     store: &SeqStore,
     facts: &FactStore,
     domain: &ExtendedDomain,
@@ -1482,6 +1556,7 @@ fn match_eval_round(
         run_match_task(
             program,
             task,
+            goals,
             store,
             facts,
             domain,
@@ -1492,6 +1567,7 @@ fn match_eval_round(
         eval_task_heads(
             &program.clauses[task.clause],
             scratch,
+            goals,
             store,
             registry,
             config,
@@ -1532,12 +1608,13 @@ fn match_eval_round(
 }
 
 /// Run one task's matching and head-variable enumeration, appending a
-/// recipe per attempted head instantiation. Pure: borrows everything
-/// immutably and cannot fail.
+/// recipe per attempted head instantiation (and, for a goal task, the goal
+/// it targets). Pure: borrows everything immutably and cannot fail.
 #[allow(clippy::too_many_arguments)]
 fn run_match_task(
     program: &CompiledProgram,
     task: &MatchTask,
+    goals: &[Box<[SeqId]>],
     store: &SeqStore,
     facts: &FactStore,
     domain: &ExtendedDomain,
@@ -1559,9 +1636,18 @@ fn run_match_task(
         sizes_before,
     });
     let int_upper = env.int_upper;
-    solve_body(clause, &env, delta, &mut |b, _env| {
-        emit_recipes(b, members, int_upper, out);
-    });
+    let Some((from, to)) = task.goals else {
+        solve_body(clause, &env, delta, &mut |b, _env| {
+            emit_recipes(b, members, int_upper, out);
+        });
+        return;
+    };
+    for (g, goal) in (from..to).zip(&goals[from..to]) {
+        solve_body_bound(clause, &env, goal, &mut |b, _env| {
+            emit_recipes(b, members, int_upper, out);
+        });
+        out.goal_of.resize(out.count, g);
+    }
 }
 
 /// Enumerate free (head-only) variables over the domain and record one
@@ -1842,10 +1928,7 @@ pub fn tp_step(
     let mut out = Vec::new();
     let mut buf = RecipeBuf::default();
     for (ci, clause) in program.clauses.iter().enumerate() {
-        let task = MatchTask {
-            clause: ci,
-            delta: None,
-        };
+        let task = MatchTask::full(ci);
         eval_task_settled(
             program,
             &task,
@@ -1883,6 +1966,7 @@ fn cseq_has_transducer(t: &CSeq) -> bool {
 fn eval_task_heads(
     clause: &crate::compile::CompiledClause,
     buf: &RecipeBuf,
+    goals: &[Box<[SeqId]>],
     store: &SeqStore,
     registry: &TransducerRegistry,
     config: &EvalConfig,
@@ -1933,6 +2017,12 @@ fn eval_task_heads(
                 }
             }
         }
+        if verdict == REC_TUPLE && buf.goal_of.get(r).is_some_and(|&g| *goals[g] != tuple[..]) {
+            // A goal task admits only its goal; other head instances of
+            // the surviving facts are in the interpretation already or are
+            // goals of their own.
+            verdict = REC_UNDEF;
+        }
         if track_tstats {
             out.tstats.push((calls, steps));
         }
@@ -1950,6 +2040,12 @@ fn eval_task_heads(
             }
             _ => {}
         }
+    }
+    if !buf.goal_of.is_empty() {
+        // Admitted tuples equal their goals, which are interned: fresh
+        // values only came from rejected instances and need no interning.
+        debug_assert!(out.needs_patch.is_empty());
+        out.pending = PendingInterns::default();
     }
     out
 }
@@ -1980,6 +2076,7 @@ fn eval_task_settled(
     run_match_task(
         program,
         task,
+        &[],
         store,
         facts,
         domain,
@@ -1988,7 +2085,7 @@ fn eval_task_settled(
         scratch,
     );
     stats.derivations += scratch.count as u64;
-    let mut hb = eval_task_heads(clause, scratch, store, registry, config);
+    let mut hb = eval_task_heads(clause, scratch, &[], store, registry, config);
     let arity = clause.head.args.len();
     settle_headbuf(&mut hb, arity, store, false);
     let mut rank = 0usize;

@@ -49,12 +49,13 @@
 //! across thread counts, and extent-equal to a fresh batch evaluation of
 //! the survivors (the differential oracle in `tests/fuzz_differential.rs`).
 //! Deletion under recursion is where naive implementations go wrong, so the
-//! engine uses Delete-and-Rederive with an explicit *domain shrinkage* pass:
+//! engine uses Delete-and-Rederive with an explicit *domain shrinkage* step:
 //! the extended active domain is a function of the interpretation
 //! (Definition 4), so when the facts that introduced a sequence are
-//! retracted, domain-sensitive clauses such as `pair(X, X) :- true.` must
-//! lose the instantiations those sequences justified. See
-//! [`Fixpoint::retract_facts`] for the four DRed passes. Retracting a fact
+//! retracted, the sequence leaves the domain (its support count drops to
+//! zero) and domain-sensitive clauses such as `pair(X, X) :- true.` must
+//! lose the instantiations it justified. See [`Fixpoint::retract_facts`]
+//! for the four DRed passes. Retracting a fact
 //! that is not a base fact — including a typo, an unknown predicate, or a
 //! derived-only fact — is a **no-op**: it returns `false`/count `0`, never
 //! interns anything, and leaves the session exactly as it was — including
@@ -69,10 +70,11 @@
 //! # Budgets are exact on the update surface
 //!
 //! An assert that would push the state past `max_facts` or `max_domain` is
-//! **refused before it applies**: the fact (and any partial window closure)
-//! is rolled back, the error reports the would-be stats, and the session
-//! stays healthy — so an accepted assert can never make the next `run` fail
-//! its entry budget check. Batch asserts
+//! **refused before it applies**: the fact is withdrawn and its arguments
+//! released, which removes exactly the window closure it added; the error
+//! reports the would-be stats, and the session stays healthy — so an
+//! accepted assert can never make the next `run` fail its entry budget
+//! check. Batch asserts
 //! ([`assert_facts`](EngineSession::assert_facts) /
 //! [`assert_db`](EngineSession::assert_db)) are **failure-atomic**: on a
 //! mid-batch rejection every fact of the batch is rolled back and the
@@ -171,7 +173,7 @@ use crate::snapshot::{list_snapshots, SessionSnapshot};
 use crate::wal::{
     read_wal, LoggedFact, ReadRecord, RecoveryError, WalReadOptions, WalRecord, WalWriter, WAL_FILE,
 };
-use seqlog_sequence::{Alphabet, DomainMark, SeqId, SeqStore, Sym};
+use seqlog_sequence::{Alphabet, SeqId, SeqStore, Sym};
 use std::collections::HashMap;
 
 /// Tuning for a durable session (see the [module docs](self)).
@@ -820,7 +822,6 @@ impl EngineSession {
     /// [`assert_facts`](EngineSession::assert_facts) (failure-atomic, same
     /// budget order), interning through the logged symbol names.
     fn apply_assert_batch(&mut self, facts: &[LoggedFact]) -> Result<usize, EvalError> {
-        let dmark = self.fx.domain_mark();
         let mut applied: Vec<(PredId, Box<[SeqId]>, AssertOutcome)> = Vec::new();
         let mut added = 0;
         for f in facts {
@@ -831,7 +832,7 @@ impl EngineSession {
             match step {
                 Ok(n) => added += n,
                 Err(e) => {
-                    self.rollback_asserts(&applied, dmark);
+                    self.rollback_asserts(&applied);
                     return Err(e);
                 }
             }
@@ -957,16 +958,15 @@ impl EngineSession {
                 stats: peak,
             });
         }
-        let dmark = self.fx.domain_mark();
         let outcome = self
             .fx
             .assert_fact_full(&mut self.store, pid, tuple.clone());
         debug_assert!(outcome.new_fact, "absent fact must insert");
         if self.fx.domain().len() > self.config.max_domain {
             let peak = self.fx.stats();
-            self.fx.unassert_pending(pid, &tuple, outcome.new_base);
+            self.fx
+                .unassert_pending(&self.store, pid, &tuple, outcome.new_base);
             self.fx.compact_pending();
-            self.fx.domain_truncate(&self.store, dmark);
             return Err(EvalError::Budget {
                 kind: BudgetKind::DomainSize,
                 stats: peak,
@@ -976,22 +976,21 @@ impl EngineSession {
     }
 
     /// Reverse a prefix of a failed batch assert (newest first), restoring
-    /// the exact pre-batch state. Removals tombstone; one compaction pass
-    /// at the end settles the whole rollback, however large the batch.
-    fn rollback_asserts(
-        &mut self,
-        applied: &[(PredId, Box<[SeqId]>, AssertOutcome)],
-        dmark: DomainMark,
-    ) {
+    /// the exact pre-batch state: each withdrawn fact releases its
+    /// arguments, which removes exactly the domain members the batch
+    /// introduced (they are the newest, so this costs what they added).
+    /// Fact removals tombstone; one compaction pass at the end settles the
+    /// whole rollback, however large the batch.
+    fn rollback_asserts(&mut self, applied: &[(PredId, Box<[SeqId]>, AssertOutcome)]) {
         for (pid, tuple, outcome) in applied.iter().rev() {
             if outcome.new_fact {
-                self.fx.unassert_pending(*pid, tuple, outcome.new_base);
+                self.fx
+                    .unassert_pending(&self.store, *pid, tuple, outcome.new_base);
             } else if outcome.new_base {
                 self.fx.drop_base_record(*pid, tuple);
             }
         }
         self.fx.compact_pending();
-        self.fx.domain_truncate(&self.store, dmark);
     }
 
     /// Intern `text` as a sequence and window-close it, so it can serve as
@@ -1050,7 +1049,6 @@ impl EngineSession {
             );
             self.log_record(&rec)?;
         }
-        let dmark = self.fx.domain_mark();
         let mut applied: Vec<(PredId, Box<[SeqId]>, AssertOutcome)> = Vec::new();
         let mut added = 0;
         for (pred, args) in facts {
@@ -1061,7 +1059,7 @@ impl EngineSession {
             match step {
                 Ok(n) => added += n,
                 Err(e) => {
-                    self.rollback_asserts(&applied, dmark);
+                    self.rollback_asserts(&applied);
                     return Err(self.abort_logged(e));
                 }
             }
@@ -1124,7 +1122,6 @@ impl EngineSession {
                 self.log_record(&WalRecord::AssertBatch(logged))?;
             }
         }
-        let dmark = self.fx.domain_mark();
         let mut applied: Vec<(PredId, Box<[SeqId]>, AssertOutcome)> = Vec::new();
         let mut added = 0;
         for (pred, tuple) in db.iter() {
@@ -1132,7 +1129,7 @@ impl EngineSession {
             match self.assert_batch_step(pid, tuple.into(), &mut applied) {
                 Ok(n) => added += n,
                 Err(e) => {
-                    self.rollback_asserts(&applied, dmark);
+                    self.rollback_asserts(&applied);
                     return Err(self.abort_logged(e));
                 }
             }

@@ -364,6 +364,40 @@ fn retract_shrinks_the_extended_domain_for_domain_sensitive_clauses() {
 }
 
 #[test]
+fn retracting_the_longest_sequence_shrinks_the_integer_range() {
+    // Definition 2, item 3: the extended domain's integers are 0..=lmax+1,
+    // and `X[N:end]` enumerates its index variable over them. Retracting
+    // the only long sequence must lower lmax, so the clause sees the
+    // smaller range from then on — exactly as a session that never held
+    // the long sequence does.
+    let src = "suf(X[N:end]) :- r0(X).";
+    let mut s = session(src, EvalConfig::default());
+    s.assert_fact("r0", &["ab"]).unwrap();
+    s.assert_fact("long", &["abcdefgh"]).unwrap();
+    s.run().unwrap();
+    assert_eq!(s.snapshot().domain.int_upper(), 9);
+
+    assert!(s.retract_fact("long", &["abcdefgh"]).unwrap());
+    let model = s.snapshot();
+    assert_eq!(model.domain.max_len(), 2);
+    assert_eq!(model.domain.int_upper(), 3);
+    assert_retract_matches_batch(&s, src, &[("r0", "ab")], &["long", "r0", "suf"]);
+
+    let mut fresh = session(src, EvalConfig::default());
+    fresh.assert_fact("r0", &["ab"]).unwrap();
+    fresh.run().unwrap();
+    let update_cost = |x: &mut EngineSession| {
+        let before = x.stats().derivations;
+        x.assert_fact("r0", &["ba"]).unwrap();
+        x.run().unwrap();
+        x.stats().derivations - before
+    };
+    let retracted = update_cost(&mut s);
+    assert_eq!(retracted, update_cost(&mut fresh));
+    assert_eq!(retracted, 8, "two bases × N ∈ 0..=3");
+}
+
+#[test]
 fn retract_noops_do_not_touch_state_or_intern() {
     let mut s = session("p(X) :- r(X).", EvalConfig::default());
     s.assert_fact("r", &["ab"]).unwrap();

@@ -23,6 +23,6 @@ pub mod fx;
 pub mod store;
 
 pub use alphabet::{Alphabet, Sym};
-pub use domain::{DomainMark, ExtendedDomain};
+pub use domain::ExtendedDomain;
 pub use fx::{FxHashMap, FxHashSet, FxHasher};
 pub use store::{index_window, PendingInterns, SeqId, SeqStore, PROVISIONAL_BIT};

@@ -2,8 +2,9 @@
 //!
 //! These check the algebraic laws the rest of the workspace relies on:
 //! interning is a bijection, `index_window` matches the Section 3.2
-//! definedness conditions exactly, and extended-domain closure satisfies
-//! Definition 2 and Lemma 1 (monotonicity under union).
+//! definedness conditions exactly, extended-domain closure satisfies
+//! Definition 2 and Lemma 1 (monotonicity under union), and releasing
+//! references shrinks the domain to the closure of what is still held.
 
 use proptest::prelude::*;
 use seqlog_sequence::{index_window, Alphabet, ExtendedDomain, SeqStore};
@@ -146,6 +147,41 @@ proptest! {
         for m in forward.iter() {
             prop_assert!(backward.contains(m));
         }
+    }
+
+    #[test]
+    fn domain_release_equals_a_fresh_closure_of_the_survivors(
+        xs in proptest::collection::vec(word(), 1..8),
+        keep in proptest::collection::vec(0u8..2, 8..9),
+    ) {
+        // Support counting: releasing some references leaves exactly the
+        // closure of the rest — same members, same supports, same lmax —
+        // and releasing everything empties the domain.
+        let mut a = Alphabet::new();
+        let mut st = SeqStore::new();
+        let ids: Vec<_> = xs.iter().map(|t| {
+            let syms = a.seq_of_str(t);
+            st.intern_vec(syms)
+        }).collect();
+        let mut live = ExtendedDomain::new();
+        for &id in &ids {
+            live.insert_closed(&mut st, id);
+        }
+        let (kept, gone): (Vec<_>, Vec<_>) =
+            ids.iter().enumerate().partition(|&(i, _)| keep[i] == 1);
+        live.release(&st, gone.iter().map(|&(_, &id)| id));
+        let mut fresh = ExtendedDomain::new();
+        for &(_, &id) in &kept {
+            fresh.insert_closed(&mut st, id);
+        }
+        prop_assert_eq!(live.len(), fresh.len());
+        prop_assert_eq!(live.max_len(), fresh.max_len());
+        for m in fresh.iter() {
+            prop_assert_eq!(live.support(m), fresh.support(m));
+        }
+        live.release(&st, kept.iter().map(|&(_, &id)| id));
+        prop_assert!(live.is_empty());
+        prop_assert_eq!(live.max_len(), 0);
     }
 
     #[test]

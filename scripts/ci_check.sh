@@ -2,7 +2,10 @@
 # The full pre-merge check: formatting, tier-1 (release build + every test
 # suite), the differential fuzz suites — including the retraction oracle
 # (assert/retract interleavings vs fresh batch evaluation of the surviving
-# base facts) and the crash-injection recovery suite (durable sessions
+# base facts), an explicit DRed step (the retraction arms again, whose
+# debug builds check the support-counted extended domain against a rebuild
+# from the facts after every retraction, plus the domain's own
+# insert/release cascade tests) and the crash-injection recovery suite (durable sessions
 # killed at fuzzed WAL offsets, recovered, and compared bit-for-bit
 # against a fresh replay), the explicit sharded-commit threads matrix
 # (every generated case forced through the sharded dedupe + task-order
@@ -39,6 +42,14 @@ echo "==> cargo test -q (includes tests/fuzz_differential.rs with its pinned see
 echo "    batch/incremental properties AND the retraction oracle — retract ≡ fresh"
 echo "    batch evaluation of the surviving base facts, 600 generated cases)"
 cargo test -q
+
+echo "==> DRed (explicit): the retraction arms of the differential fuzz suite"
+echo "    (retract ≡ fresh batch of the survivors, head-bound re-derivation,"
+echo "    and in debug builds the support-counted domain ≡ a rebuild from the"
+echo "    facts after every retraction), then the domain's insert/release"
+echo "    cascade tests (exact support counts, release ≡ fresh closure)"
+cargo test -q --test fuzz_differential -- retraction
+cargo test -q -p seqlog-sequence domain
 
 echo "==> cargo test -q --test fuzz_recovery (crash-injection recovery suite:"
 echo "    durable sessions killed at fuzzed WAL byte offsets and record"
