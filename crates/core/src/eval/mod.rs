@@ -737,6 +737,29 @@ impl Fixpoint {
         self.domain_done == self.domain.len()
     }
 
+    /// True when the state is `lfp(T_{P,db})` of its current base facts,
+    /// so every relation already holds its full extent: a round has run,
+    /// every relation — asserted-only predicates past the program's
+    /// included — is at its semi-naive watermark (no pending delta), and
+    /// the domain-sensitive clauses have seen the whole extended active
+    /// domain.
+    ///
+    /// Through the session API the domain conjunct never decides alone:
+    /// the domain changes only together with the facts (an assert closes
+    /// over its arguments, a rollback or retraction releases them), so a
+    /// domain behind its watermark always comes with a relation behind
+    /// its own. It guards the states [`Fixpoint::restore`] can build
+    /// with `domain_settled = false`, pinned by the
+    /// `is_settled_needs_every_watermark` test.
+    pub fn is_settled(&self) -> bool {
+        !self.virgin
+            && self.domain_settled()
+            && self
+                .facts
+                .relations()
+                .all(|(p, rel)| rel.len() == self.sizes_done.get(p.index()).copied().unwrap_or(0))
+    }
+
     /// Rebuild a `Fixpoint` from persisted parts. The extended active
     /// domain is **recomputed** by closing over every sequence of every
     /// loaded fact (Definition 4 makes it a function of the

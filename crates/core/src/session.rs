@@ -27,6 +27,17 @@
 //!   [`snapshot`](EngineSession::snapshot) read the current interpretation
 //!   between updates.
 //!
+//! # Point queries
+//!
+//! [`query_bound`](EngineSession::query_bound) answers `pred(pattern)`
+//! with the sorted filter of the fixpoint's extent. A **settled** session
+//! ([`is_settled`](EngineSession::is_settled): every assert processed by a
+//! `run` or an effective retraction) already holds `lfp(T_{P,db})`, so
+//! the answer is an index probe of the relation costing O(answer), and the
+//! query interns nothing. Otherwise the magic-set scratch fixpoint runs
+//! over a copy of the session's facts.
+//! [`DemandAnswer::evaluated`] tells the two routes apart.
+//!
 //! # Equivalence with batch evaluation
 //!
 //! For any split of a database into batches, asserting the batches in order
@@ -281,10 +292,13 @@ pub struct DemandAnswer {
     /// Rendered, sorted, deduplicated matching tuples.
     pub answers: Vec<Vec<String>>,
     /// Finalized statistics of the scratch evaluation (all-zero when the
-    /// query short-circuited without evaluating).
+    /// query answered without evaluating).
     pub stats: EvalStats,
-    /// False when the query short-circuited (unknown value or
-    /// asserted-only predicate) without running the scratch fixpoint.
+    /// True when the magic scratch fixpoint ran; false when the query
+    /// probed the session's own relation instead — the goal is
+    /// asserted-only or unknown, or the session
+    /// [`is_settled`](EngineSession::is_settled) and the options are the
+    /// defaults.
     pub evaluated: bool,
 }
 
@@ -1171,12 +1185,21 @@ impl EngineSession {
     /// anything (not even alphabet symbols): `None` when some argument was
     /// never interned, in which case no such fact can exist.
     fn lookup_tuple(&self, args: &[&str]) -> Option<Vec<SeqId>> {
-        let mut tuple: Vec<SeqId> = Vec::with_capacity(args.len());
-        for s in args {
-            let syms = self.alphabet.lookup_seq_of_str(s)?;
-            tuple.push(self.store.lookup(&syms)?);
-        }
-        Some(tuple)
+        args.iter().map(|s| self.lookup_seq(s)).collect()
+    }
+
+    /// [`lookup_tuple`](Self::lookup_tuple) for a `query_bound` pattern:
+    /// the `(position, id)` pair of every bound value, or `None` when one
+    /// was never interned (then no fact can match).
+    fn lookup_pattern(&self, pattern: &[Bind<'_>]) -> Option<Vec<(usize, SeqId)>> {
+        bound_values(pattern)
+            .map(|(i, s)| Some((i, self.lookup_seq(s)?)))
+            .collect()
+    }
+
+    /// The interned id of `text`, without interning anything.
+    fn lookup_seq(&self, text: &str) -> Option<SeqId> {
+        self.store.lookup(&self.alphabet.lookup_seq_of_str(text)?)
     }
 
     /// [`retract_fact`](EngineSession::retract_fact) over already-interned
@@ -1298,28 +1321,39 @@ impl EngineSession {
     }
 
     /// Demand-driven (goal-directed) point query: return the tuples of
-    /// `pred` matching `pattern` — rendered, sorted, deduplicated — by
-    /// evaluating only what the goal needs, via the magic-set
-    /// transformation ([`crate::analysis::magic`]).
-    ///
-    /// Evaluation happens in a **scratch fixpoint** seeded from this
-    /// session's current facts (settled derivations plus any raw asserts
-    /// since the last [`run`](EngineSession::run)): the session's own
-    /// interpretation, watermarks, WAL, and durability state are never
-    /// touched, and an evaluation error here returns without poisoning
-    /// the session. The answers equal filtering a full
+    /// `pred` matching `pattern` — rendered, sorted, deduplicated. The
+    /// answers equal filtering a full
     /// [`run`](EngineSession::run)-then-[`query`](EngineSession::query)
-    /// by the pattern — byte-identically, on any thread count — while a
-    /// selective goal evaluates a small cone (the fallback gate in
-    /// [`crate::analysis::magic`] degrades gracefully to the batch
-    /// fixpoint when domain-sensitive strata make demand restriction
-    /// unsound).
+    /// by the pattern — byte-identically, on any thread count. Two routes
+    /// reach them:
     ///
-    /// `&mut self` because bound values and derived sequences intern into
-    /// the session's append-only store; like
-    /// [`check_model`](EngineSession::check_model), this never changes
-    /// the session's interpretation. Magic-transformed programs are
-    /// cached per `(goal, bound-mask)`, so repeated point queries
+    /// * **Settled session** ([`is_settled`](EngineSession::is_settled)),
+    ///   or a goal no clause derives into: the relation already holds its
+    ///   extent, so the query is an **index probe** of it — the bound
+    ///   column with the shortest posting list is walked, the other bound
+    ///   columns checked — costing O(answer) plus the sort. Bound values
+    ///   are only looked up, never interned: a value the session never
+    ///   saw matches nothing, and reading leaves the interners as they
+    ///   were.
+    /// * **Unsettled session** (asserts since the last
+    ///   [`run`](EngineSession::run), or never run): the magic-set
+    ///   transformation ([`crate::analysis::magic`]) evaluates only what
+    ///   the goal needs in a **scratch fixpoint** seeded from a copy of
+    ///   this session's current facts (settled derivations plus the
+    ///   pending asserts). The session's own interpretation, watermarks,
+    ///   WAL, and durability state are never touched, and an evaluation
+    ///   error here — a budget of [`config`](EngineSession::config)
+    ///   included — returns without poisoning the session. A selective
+    ///   goal evaluates a small cone; the fallback gate in
+    ///   [`crate::analysis::magic`] degrades to the batch fixpoint when
+    ///   domain-sensitive strata make demand restriction unsound.
+    ///
+    /// `&mut self` because on the scratch route bound values and derived
+    /// sequences intern into the session's append-only store (a
+    /// constructive program can derive a value nothing interned yet);
+    /// like [`check_model`](EngineSession::check_model), this never
+    /// changes the session's interpretation. Magic-transformed programs
+    /// are cached per `(goal, bound-mask)`, so repeated point queries
     /// recompile nothing.
     pub fn query_bound(
         &mut self,
@@ -1332,8 +1366,10 @@ impl EngineSession {
 
     /// [`query_bound`](EngineSession::query_bound) with explicit
     /// [`MagicOptions`] and scratch-evaluation statistics — the demand
-    /// fuzz harness's hook for mutation testing (non-default options
-    /// bypass the adornment cache).
+    /// fuzz harness's hook for mutation testing. Non-default options
+    /// bypass the adornment cache and always take the scratch route, even
+    /// on a settled session; [`DemandAnswer::evaluated`] reports which
+    /// route answered.
     #[doc(hidden)]
     pub fn query_bound_instrumented(
         &mut self,
@@ -1342,25 +1378,32 @@ impl EngineSession {
         opts: &MagicOptions,
     ) -> Result<DemandAnswer, EvalError> {
         self.guard_poison()?;
-        let bound = intern_pattern(pattern, &mut self.alphabet, &mut self.store);
-        let goal = self.program.preds.lookup(pred);
-        let derivable = goal.is_some_and(|g| self.program.clauses.iter().any(|c| c.head.pred == g));
-        if !derivable {
-            // Asserted-only (or unknown) predicate: no clause can derive
-            // into it, so its extent is its current relation as-is.
-            return Ok(DemandAnswer {
-                answers: filter_bound_answers(
+        // The scratch runs only for a goal some clause derives into, on a
+        // session whose relations may still lack part of its extent.
+        let scratch_goal = self.program.preds.lookup(pred).filter(|&g| {
+            self.program.clauses.iter().any(|c| c.head.pred == g)
+                && (!self.fx.is_settled() || *opts != MagicOptions::default())
+        });
+        let Some(goal) = scratch_goal else {
+            // An asserted-only or unknown predicate, or a settled session:
+            // the relation already holds the goal's extent.
+            let answers = match self.lookup_pattern(pattern) {
+                Some(bound) => filter_bound_answers(
                     self.fx.facts().relation_named(pred),
                     pattern.len(),
                     &bound,
                     &self.alphabet,
                     &self.store,
                 ),
+                None => Vec::new(),
+            };
+            return Ok(DemandAnswer {
+                answers,
                 stats: EvalStats::default(),
                 evaluated: false,
             });
-        }
-        let goal = goal.expect("derivable implies interned");
+        };
+        let bound = intern_pattern(pattern, &mut self.alphabet, &mut self.store);
         let adornment = Bind::adornment(pattern);
         let mask: Vec<bool> = pattern
             .iter()
@@ -1399,6 +1442,16 @@ impl EngineSession {
             stats: scratch.stats(),
             evaluated: true,
         })
+    }
+
+    /// True when the session holds the least fixpoint of its current base
+    /// facts ([`Fixpoint::is_settled`]): a [`run`](EngineSession::run)
+    /// or an effective retraction has processed every assert, so each
+    /// relation holds its full extent and
+    /// [`query_bound`](EngineSession::query_bound) answers by an index
+    /// probe. Any assert that adds a fact unsettles it until the next run.
+    pub fn is_settled(&self) -> bool {
+        self.fx.is_settled()
     }
 
     /// The raw relation of `pred`, if present.
@@ -1515,7 +1568,10 @@ impl EngineSession {
 /// Filter a relation by a bound-argument pattern and render the matches,
 /// sorted and deduplicated — the answer shape of `query_bound`. `bound`
 /// lists `(position, required id)` pairs; tuples of a different arity than
-/// `arity` never match.
+/// `arity` never match. With a bound column the relation is probed, not
+/// scanned: the shortest column posting list among the bound values
+/// ([`Relation::positions_with`]) gives the candidates, and only they are
+/// checked against the other bound columns.
 fn filter_bound_answers(
     rel: Option<&Relation>,
     arity: usize,
@@ -1523,46 +1579,63 @@ fn filter_bound_answers(
     alphabet: &Alphabet,
     store: &SeqStore,
 ) -> Vec<Vec<String>> {
-    let mut out: Vec<Vec<String>> = match rel {
-        None => Vec::new(),
-        Some(rel) => rel
+    let Some(rel) = rel else {
+        return Vec::new();
+    };
+    let keep = |t: &&[SeqId]| t.len() == arity && bound.iter().all(|&(i, id)| t[i] == id);
+    let render = |t: &[SeqId]| -> Vec<String> {
+        t.iter()
+            .map(|&id| render_seq(alphabet, store, id))
+            .collect()
+    };
+    let shortest = bound
+        .iter()
+        .map(|&(col, id)| rel.positions_with(col, id, 0, rel.len()))
+        .min_by_key(|list| list.len());
+    let mut out: Vec<Vec<String>> = match shortest {
+        Some(list) => list
             .iter()
-            .filter(|t| t.len() == arity && bound.iter().all(|&(i, id)| t[i] == id))
-            .map(|t| {
-                t.iter()
-                    .map(|&id| render_seq(alphabet, store, id))
-                    .collect()
-            })
+            .map(|&pos| rel.tuple(pos as usize))
+            .filter(keep)
+            .map(render)
             .collect(),
+        None => rel.iter().filter(keep).map(render).collect(),
     };
     out.sort();
     out.dedup();
     out
 }
 
+/// The bound positions of a `query_bound` pattern with their values.
+fn bound_values<'p>(pattern: &'p [Bind<'_>]) -> impl Iterator<Item = (usize, &'p str)> {
+    pattern.iter().enumerate().filter_map(|(i, b)| match b {
+        Bind::Bound(s) => Some((i, *s)),
+        Bind::Free => None,
+    })
+}
+
 /// Intern a `query_bound` pattern's bound values and window-close them in
-/// the store, returning `(position, id)` pairs. Interning (rather than a
-/// failable lookup) matters for completeness: a constructive program can
-/// *derive* the queried value even when nothing interned it yet, and the
-/// derivation must land on the same id. The interners are append-only, so
-/// this is unobservable through the query API; window closure mirrors the
-/// treatment of program body constants (a guard-bound variable may serve
-/// as an indexed base).
+/// the store, returning `(position, id)` pairs — the scratch route's
+/// binding. Interning (rather than a failable lookup) matters for
+/// completeness: a constructive program can *derive* the queried value
+/// even when nothing interned it yet, and the derivation must land on the
+/// same id. The interners are append-only, so this is unobservable through
+/// the query API; window closure mirrors the treatment of program body
+/// constants (a guard-bound variable may serve as an indexed base). It
+/// costs O(n³) symbols for an n-symbol value (every window is stored as
+/// its own sequence), which is why the settled route only looks values up.
 fn intern_pattern(
     pattern: &[Bind<'_>],
     alphabet: &mut Alphabet,
     store: &mut SeqStore,
 ) -> Vec<(usize, SeqId)> {
-    let mut out = Vec::new();
-    for (i, b) in pattern.iter().enumerate() {
-        if let Bind::Bound(s) = b {
-            let syms = alphabet.seq_of_str(s);
-            let id = store.intern_vec(syms);
+    bound_values(pattern)
+        .map(|(i, s)| {
+            let id = store.intern_vec(alphabet.seq_of_str(s));
             store.close_windows(id);
-            out.push((i, id));
-        }
-    }
-    out
+            (i, id)
+        })
+        .collect()
 }
 
 /// A consistency violation between snapshot, log, and caller environment.
@@ -1622,4 +1695,104 @@ fn replay_records(
         i += 1;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `gd` is domain-sensitive, so its extent depends on the domain
+    /// watermark as well as the relation ones.
+    fn settled_session() -> EngineSession {
+        let mut e = Engine::new();
+        let program = e
+            .parse_program("anc(X, Y) :- edge(X, Y).\ngd(X, X) :- true.")
+            .expect("test program parses");
+        let mut s = e
+            .into_session(&program, EvalConfig::default())
+            .expect("test program compiles");
+        s.assert_fact("edge", &["ab", "b"]).unwrap();
+        s.run().unwrap();
+        s
+    }
+
+    fn probe(s: &mut EngineSession, pred: &str, key: &str) -> DemandAnswer {
+        s.query_bound_instrumented(
+            pred,
+            &[Bind::Bound(key), Bind::Free],
+            &MagicOptions::default(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn settled_query_of_an_unseen_key_interns_nothing() {
+        let mut s = settled_session();
+        assert!(s.is_settled());
+        let (seqs, syms) = (s.store.count(), s.alphabet.len());
+        // Known letters, unknown word: interning it would window-close
+        // 300·301/2 windows into the store.
+        let key = "ab".repeat(150);
+        for pred in ["anc", "edge", "gd"] {
+            let r = probe(&mut s, pred, &key);
+            assert!(r.answers.is_empty() && !r.evaluated, "{pred}: {r:?}");
+        }
+        // An unknown letter misses in the alphabet already.
+        assert!(probe(&mut s, "anc", "zz").answers.is_empty());
+        assert_eq!((s.store.count(), s.alphabet.len()), (seqs, syms));
+        // A hit still answers from the relation.
+        let r = probe(&mut s, "anc", "ab");
+        assert_eq!(r.answers, vec![vec!["ab".to_string(), "b".to_string()]]);
+        assert!(!r.evaluated);
+    }
+
+    #[test]
+    fn is_settled_needs_every_watermark() {
+        let mut s = settled_session();
+        assert!(s.is_settled());
+        let settled = probe(&mut s, "gd", "ab");
+        assert!(!settled.evaluated);
+        let rebuilt = |s: &mut EngineSession, virgin: bool, domain_settled: bool| {
+            Fixpoint::restore(
+                &mut s.store,
+                s.fx.facts().clone(),
+                s.fx.base_relations().to_vec(),
+                s.fx.stats_raw(),
+                s.fx.sizes_done().to_vec(),
+                virgin,
+                domain_settled,
+            )
+        };
+        for (virgin, domain_settled) in [(true, true), (false, false)] {
+            let mut c = s.clone();
+            c.fx = rebuilt(&mut c, virgin, domain_settled);
+            assert!(
+                !c.is_settled(),
+                "virgin={virgin} domain_settled={domain_settled}"
+            );
+            let r = probe(&mut c, "gd", "ab");
+            assert!(r.evaluated);
+            assert_eq!(r.answers, settled.answers);
+        }
+        let mut c = s.clone();
+        c.fx = rebuilt(&mut c, false, true);
+        assert!(c.is_settled());
+        // A pending assert over known values leaves the domain as it was:
+        // only the relation watermark sees it.
+        let domain = s.fx.domain().len();
+        s.assert_fact("edge", &["b", "ab"]).unwrap();
+        assert_eq!(s.fx.domain().len(), domain);
+        assert!(!s.is_settled());
+        let r = probe(&mut s, "anc", "b");
+        assert!(r.evaluated);
+        assert_eq!(r.answers, vec![vec!["b".to_string(), "ab".to_string()]]);
+        s.run().unwrap();
+        // So does one into a predicate past the program's, which no
+        // clause reads.
+        s.assert_fact("extra", &["b"]).unwrap();
+        assert_eq!(s.fx.domain().len(), domain);
+        assert!(!s.is_settled());
+        s.run().unwrap();
+        assert!(s.is_settled());
+    }
 }

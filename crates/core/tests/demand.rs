@@ -1,12 +1,15 @@
 //! Demand-driven (bound-argument) query API: session and engine routes,
-//! fallback behavior, cache reuse, short-circuit paths, and the
-//! byte-identity pin between demand-mode and batch-mode renderings.
+//! fallback behavior, cache reuse, short-circuit paths, the settled index
+//! probe (after runs, retractions and recovery, and under budgets the
+//! scratch route would exceed), and the byte-identity pin between
+//! demand-mode and batch-mode renderings.
 
 use seqlog_core::analysis::magic::MagicOptions;
 use seqlog_core::analysis::Bind;
 use seqlog_core::database::Database;
 use seqlog_core::engine::Engine;
-use seqlog_core::eval::{EvalConfig, EvalError};
+use seqlog_core::eval::{BudgetKind, EvalConfig, EvalError};
+use seqlog_core::session::{DemandAnswer, EngineSession};
 
 const ANC: &str = "anc(X, Y) :- edge(X, Y).\nanc(X, Z) :- anc(X, Y), edge(Y, Z).";
 
@@ -300,4 +303,120 @@ fn demand_works_on_unsettled_and_mid_stream_sessions() {
     s.run().unwrap();
     // a->b->c->d->e contributes 4+3+2+1 = 10 pairs, p->q->r contributes 3.
     assert_eq!(s.query("anc").len(), 13);
+}
+
+// ---------------------------------------------------------------------------
+// Settled sessions: an index probe of the session's own relation
+// ---------------------------------------------------------------------------
+
+fn probe(s: &mut EngineSession, key: &str) -> DemandAnswer {
+    s.query_bound_instrumented(
+        "anc",
+        &[Bind::Bound(key), Bind::Free],
+        &MagicOptions::default(),
+    )
+    .unwrap()
+}
+
+/// The settled route's contract: no scratch evaluation, and exactly the
+/// filtered settled `query`.
+fn assert_probe_answers(s: &mut EngineSession, key: &str) {
+    assert!(s.is_settled());
+    let r = probe(s, key);
+    assert!(
+        !r.evaluated,
+        "settled session ran the scratch for anc({key}, _)"
+    );
+    assert_eq!(r.stats, Default::default());
+    let mut want: Vec<Vec<String>> = s.query("anc").into_iter().filter(|t| t[0] == key).collect();
+    want.sort();
+    assert_eq!(r.answers, want);
+}
+
+#[test]
+fn fresh_session_runs_its_ground_clauses_before_answering() {
+    // Nothing asserted, nothing pending — but no round has run, so the
+    // relations do not hold the fixpoint yet.
+    let mut e = Engine::new();
+    let program = e.parse_program("seed(\"ab\") :- true.").unwrap();
+    let mut s = e.into_session(&program, EvalConfig::default()).unwrap();
+    assert!(!s.is_settled());
+    let r = s
+        .query_bound_instrumented("seed", &[Bind::Free], &MagicOptions::default())
+        .unwrap();
+    assert!(r.evaluated);
+    assert_eq!(r.answers, vec![vec!["ab".to_string()]]);
+}
+
+#[test]
+fn retraction_and_recovery_leave_the_session_settled() {
+    let dir = std::env::temp_dir().join(format!("seqlog-demand-settled-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = |dir: &std::path::Path| {
+        let mut e = Engine::new();
+        let program = e.parse_program(ANC).unwrap();
+        EngineSession::open_durable(e, &program, EvalConfig::default(), dir, Default::default())
+            .unwrap()
+    };
+    let mut s = open(&dir);
+    for (x, y) in [("a", "b"), ("b", "c"), ("c", "d"), ("p", "q"), ("q", "r")] {
+        s.assert_fact("edge", &[x, y]).unwrap();
+    }
+    s.run().unwrap();
+    assert_probe_answers(&mut s, "a");
+    // An effective retraction settles eagerly.
+    assert!(s.retract_fact("edge", &["b", "c"]).unwrap());
+    assert_probe_answers(&mut s, "a");
+    assert_eq!(probe(&mut s, "a").answers.len(), 1);
+    drop(s);
+    // Recovery by log replay, then from a checkpoint alone.
+    let mut s = open(&dir);
+    assert_probe_answers(&mut s, "a");
+    assert_probe_answers(&mut s, "p");
+    s.checkpoint().unwrap();
+    drop(s);
+    let mut s = open(&dir);
+    assert_probe_answers(&mut s, "p");
+    drop(s);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn settled_session_answers_under_a_one_round_budget() {
+    let mut s = chain_session();
+    s.run().unwrap();
+    s.config_mut().max_rounds = 1;
+    assert_probe_answers(&mut s, "a");
+    assert_eq!(probe(&mut s, "a").answers.len(), 3);
+    // The same budget stops the scratch on an unsettled session.
+    s.assert_fact("edge", &["d", "e"]).unwrap();
+    match s.query_bound("anc", &[Bind::Bound("a"), Bind::Free]) {
+        Err(EvalError::Budget {
+            kind: BudgetKind::Rounds,
+            ..
+        }) => {}
+        other => panic!("expected a rounds budget error, got {other:?}"),
+    }
+    assert!(!s.is_poisoned());
+}
+
+#[test]
+fn unsettled_query_over_budget_refuses_without_poisoning() {
+    let mut s = chain_session();
+    // Five edges fit; the scratch's magic and anc facts do not.
+    s.config_mut().max_facts = 8;
+    let before = s.stats();
+    match s.query_bound("anc", &[Bind::Bound("a"), Bind::Free]) {
+        Err(EvalError::Budget {
+            kind: BudgetKind::Facts,
+            ..
+        }) => {}
+        other => panic!("expected a facts budget error, got {other:?}"),
+    }
+    assert!(!s.is_poisoned());
+    assert_eq!(s.stats(), before);
+    s.config_mut().max_facts = EvalConfig::default().max_facts;
+    s.run().unwrap();
+    assert_eq!(s.query("anc").len(), 9);
+    assert_probe_answers(&mut s, "a");
 }

@@ -1095,18 +1095,52 @@ pub fn demand_probes(extents: &Extents) -> Vec<(String, BoundPattern)> {
     probes
 }
 
-/// `query_bound` along the session route: assert every batch (optionally
-/// settling the session first — the unsettled variant makes the scratch
-/// evaluation derive everything itself), then issue the instrumented
-/// query. Failures are rendered like [`Outcome::Failed`] labels.
+/// The session state a demand probe meets ([`demand_outcome`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DemandArm {
+    /// Every batch asserted, never run: the scratch evaluation derives
+    /// everything itself.
+    Unsettled,
+    /// Every batch asserted with a run after each: the session is settled
+    /// and answers by probing its own relation.
+    Settled,
+    /// All but the last batch asserted and run, the last one asserted
+    /// and pending: the scratch starts from settled facts plus a delta.
+    MidStream,
+}
+
+/// Every [`DemandArm`].
+pub const DEMAND_ARMS: [DemandArm; 3] = [
+    DemandArm::Unsettled,
+    DemandArm::Settled,
+    DemandArm::MidStream,
+];
+
+/// A demand probe's answer, with whether the magic scratch had to run:
+/// exactly for a goal some clause derives into, on a session holding
+/// asserts no run processed — always on the unsettled arm, and on the
+/// mid-stream arm when its last batch added a fact. Worked out from the
+/// asserts themselves, not from the session's own settledness test.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct DemandRun {
+    /// What `query_bound_instrumented` returned.
+    pub answer: DemandAnswer,
+    /// The value `answer.evaluated` must have.
+    pub expect_evaluated: bool,
+}
+
+/// `query_bound` along the session route: assert the batches as `arm`
+/// says, then issue the instrumented query. Failures are rendered like
+/// [`Outcome::Failed`] labels.
 pub fn demand_outcome(
     case: &FuzzCase,
     config: &EvalConfig,
     pred: &str,
     pattern: &[Option<String>],
-    settle: bool,
+    arm: DemandArm,
     opts: &MagicOptions,
-) -> Result<DemandAnswer, String> {
+) -> Result<DemandRun, String> {
+    let fail = |err: EvalError| Outcome::from_error(&err).failure().unwrap().to_string();
     let mut e = Engine::new();
     let program = e
         .parse_program(&case.program)
@@ -1114,19 +1148,37 @@ pub fn demand_outcome(
     let mut session = e
         .into_session(&program, *config)
         .expect("generated programs compile");
-    for (p, word) in case.union_facts() {
-        session
-            .assert_fact(p, &[word.as_str()])
-            .map_err(|err| Outcome::from_error(&err).failure().unwrap().to_string())?;
+    let settled = match arm {
+        DemandArm::Unsettled => 0,
+        DemandArm::Settled => case.batches.len(),
+        DemandArm::MidStream => case.batches.len() - 1,
+    };
+    if arm == DemandArm::MidStream {
+        // Past the virgin round even when the case has one batch.
+        session.run().map_err(fail)?;
     }
-    if settle {
-        session
-            .run()
-            .map_err(|err| Outcome::from_error(&err).failure().unwrap().to_string())?;
+    let mut pending = arm == DemandArm::Unsettled;
+    for (i, batch) in case.batches.iter().enumerate() {
+        for (p, word) in batch {
+            let added = session.assert_fact(p, &[word.as_str()]).map_err(fail)?;
+            pending |= added && i >= settled;
+        }
+        if i < settled {
+            session.run().map_err(fail)?;
+        }
     }
-    session
+    let compiled = session.program();
+    let derivable = compiled
+        .preds
+        .lookup(pred)
+        .is_some_and(|g| compiled.clauses.iter().any(|c| c.head.pred == g));
+    let answer = session
         .query_bound_instrumented(pred, &as_binds(pattern), opts)
-        .map_err(|err| Outcome::from_error(&err).failure().unwrap().to_string())
+        .map_err(fail)?;
+    Ok(DemandRun {
+        answer,
+        expect_evaluated: derivable && pending,
+    })
 }
 
 /// Register the standard chain machines `m1`/`m2`/`m3` — functional

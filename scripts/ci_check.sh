@@ -11,8 +11,12 @@
 # (every generated case forced through the sharded dedupe + task-order
 # merge at threads 1/2/4/8 plus the commit-phase mutation tests), the
 # demand-driven query oracle (query_bound ≡ filter of the batch fixpoint
-# across every adornment of arity ≤ 3, with the transformation's own
-# mutants — dropped magic guard, bypassed fallback — being caught), the
+# across every adornment of arity ≤ 3 on three session arms — unsettled,
+# settled, and mid-stream with the last batch pending — with the settled
+# arm answering by index probe, never the scratch, and the
+# transformation's own mutants — dropped magic guard, bypassed fallback —
+# being caught) and its pinned API cases (the settled probe after a
+# retraction and after recovery, and the point-query budget refusal), the
 # transducer-algebra property suite (trim/determinize/compose/minimize
 # vs the extensional oracle on random machines, with the skip-trim and
 # swapped-composition mutants being caught) and the fusion differential
@@ -71,10 +75,19 @@ cargo test -q --test fuzz_recovery sharded_commit
 echo "==> cargo test -q --test fuzz_demand (demand-driven query oracle:"
 echo "    query_bound ≡ sorted filter of the batch fixpoint for every"
 echo "    populated predicate and every bound/free adornment of arity ≤ 3,"
-echo "    on settled and unsettled sessions, bit-for-bit across threads"
-echo "    1/2/4/8; plus the transformation mutants — dropped magic guard,"
-echo "    bypassed domain-sensitive fallback — being caught)"
+echo "    on three session arms — unsettled, settled (an index probe of the"
+echo "    session's relation, evaluated == false), and mid-stream (settled"
+echo "    batches plus a pending one) — bit-for-bit across threads 1/2/4/8"
+echo "    on every arm; plus the transformation mutants — dropped magic"
+echo "    guard, bypassed domain-sensitive fallback — being caught)"
 cargo test -q --test fuzz_demand
+
+echo "==> cargo test -q -p seqlog-core --test demand (point-query pins: the"
+echo "    settled probe after run, effective retraction and open_durable"
+echo "    recovery, and under a one-round budget; an unsettled query over"
+echo "    max_facts refused with EvalError::Budget, the session unpoisoned"
+echo "    and its stats unchanged)"
+cargo test -q -p seqlog-core --test demand
 
 echo "==> cargo test -q -p seqlog-transducer --test algebra (transducer-algebra"
 echo "    property suite: trim/determinize/compose/minimize preserve the"

@@ -7,12 +7,16 @@
 //! magic transformation's fallback gates), every populated predicate of
 //! arity ≤ 3, and **every** bound/free adornment of that arity (plus an
 //! all-bound miss probe), the demand route must return exactly the
-//! sorted filter of the batch model's extent — on both unsettled
-//! sessions (the scratch evaluation derives everything itself) and
-//! settled ones (the scratch starts from the session's facts).
+//! sorted filter of the batch model's extent on three session arms
+//! ([`DemandArm`]): unsettled (the scratch evaluation derives everything
+//! itself), settled (the session probes its own relation), and
+//! mid-stream (settled batches plus one pending batch, which the scratch
+//! evaluates from the session's facts). The route taken is checked too:
+//! a derivable goal is evaluated exactly when the session holds pending
+//! asserts, so the settled arm never runs the scratch.
 //!
 //! Thread determinism: the demand route is **bit-for-bit** identical
-//! (answers *and* scratch `EvalStats`) at threads 1/2/4/8.
+//! (answers *and* scratch `EvalStats`) at threads 1/2/4/8, on every arm.
 //!
 //! The harness is mutation-tested at the bottom of this file:
 //!
@@ -27,8 +31,8 @@
 
 use proptest::prelude::*;
 use seqlog_testkit::{
-    batch_outcome, cases, demand_outcome, demand_probes, filtered_extent, Bind, FuzzCase,
-    MagicOptions,
+    batch_outcome, cases, demand_outcome, demand_probes, filtered_extent, Bind, DemandArm,
+    FuzzCase, MagicOptions, DEMAND_ARMS,
 };
 use sequence_datalog::core::{EngineSession, EvalConfig};
 
@@ -45,16 +49,25 @@ proptest! {
         let config = EvalConfig::with_threads(1);
         for (pred, pattern) in demand_probes(&extents) {
             let expected = filtered_extent(&extents, &pred, &pattern);
-            for settle in [false, true] {
-                let got = demand_outcome(&case, &config, &pred, &pattern, settle, &MagicOptions::default())
+            for arm in DEMAND_ARMS {
+                let got = demand_outcome(&case, &config, &pred, &pattern, arm, &MagicOptions::default())
                     .unwrap_or_else(|err| panic!("demand route failed ({err}):\n{case}"));
                 prop_assert_eq!(
-                    &got.answers,
+                    &got.answer.answers,
                     &expected,
-                    "query_bound({}, {:?}) settle={} diverged from the filtered batch extent\n{}",
+                    "query_bound({}, {:?}) on the {:?} arm diverged from the filtered batch extent\n{}",
                     pred,
                     pattern,
-                    settle,
+                    arm,
+                    case
+                );
+                prop_assert_eq!(
+                    got.answer.evaluated,
+                    got.expect_evaluated,
+                    "query_bound({}, {:?}) on the {:?} arm took the wrong route\n{}",
+                    pred,
+                    pattern,
+                    arm,
                     case
                 );
             }
@@ -71,28 +84,24 @@ proptest! {
             .extents_sorted()
             .unwrap_or_else(|| panic!("default budgets must fit generated cases:\n{case}"));
         for (pred, pattern) in demand_probes(&extents) {
-            let reference =
-                demand_outcome(&case, &EvalConfig::with_threads(1), &pred, &pattern, false, &MagicOptions::default())
-                    .unwrap_or_else(|err| panic!("demand route failed ({err}):\n{case}"));
-            for t in THREADS {
-                let got = demand_outcome(
-                    &case,
-                    &EvalConfig::with_threads(t),
-                    &pred,
-                    &pattern,
-                    false,
-                    &MagicOptions::default(),
-                )
-                .unwrap_or_else(|err| panic!("demand route failed ({err}):\n{case}"));
-                prop_assert_eq!(
-                    &got,
-                    &reference,
-                    "query_bound({}, {:?}) at threads={} is not bit-for-bit identical\n{}",
-                    pred,
-                    pattern,
-                    t,
-                    case
-                );
+            for arm in DEMAND_ARMS {
+                let run = |t: usize| {
+                    demand_outcome(&case, &EvalConfig::with_threads(t), &pred, &pattern, arm, &MagicOptions::default())
+                        .unwrap_or_else(|err| panic!("demand route failed ({err}):\n{case}"))
+                };
+                let reference = run(1);
+                for t in THREADS {
+                    prop_assert_eq!(
+                        &run(t),
+                        &reference,
+                        "query_bound({}, {:?}) on the {:?} arm at threads={} is not bit-for-bit identical\n{}",
+                        pred,
+                        pattern,
+                        arm,
+                        t,
+                        case
+                    );
+                }
             }
         }
     }
@@ -121,10 +130,11 @@ fn pinned_gd_with_outside_cone_construction() {
         &EvalConfig::with_threads(1),
         "gd0",
         &pattern,
-        false,
+        DemandArm::Unsettled,
         &MagicOptions::default(),
     )
-    .unwrap();
+    .unwrap()
+    .answer;
     assert_eq!(got.answers, expected);
     assert!(got
         .answers
@@ -150,10 +160,11 @@ fn pinned_mutual_recursion_demand() {
             &EvalConfig::with_threads(1),
             &pred,
             &pattern,
-            false,
+            DemandArm::Unsettled,
             &MagicOptions::default(),
         )
-        .unwrap();
+        .unwrap()
+        .answer;
         assert_eq!(got.answers, expected, "probe {pred} {pattern:?}");
     }
 }
@@ -244,10 +255,11 @@ fn mutant_skipped_fallback_is_caught_by_extents() {
         &EvalConfig::with_threads(1),
         "gd0",
         &pattern,
-        false,
+        DemandArm::Unsettled,
         &mutant_opts,
     )
-    .unwrap();
+    .unwrap()
+    .answer;
     assert_ne!(
         mutant.answers, expected,
         "bypassing the fallback gate must lose answers — otherwise the \
