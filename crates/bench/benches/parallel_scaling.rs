@@ -2,14 +2,15 @@
 //! `EvalConfig::threads ∈ {1, 2, 4, 8}`.
 //!
 //! Three shapes: the `pairs` self-join (wide per-round deltas — the case
-//! the three-phase evaluator pushes through the sharded commit), the
-//! Theorem 3 `abcn` pattern workload (small rounds that stay below the
-//! parallel dispatch threshold — the sweep documents that thread count is
-//! free there), and `delta1M` (a settled session resumed with a batch
-//! whose semi-naive delta commits ~one million facts in a single round —
-//! the sharded-commit headline case). Results are bit-for-bit identical
-//! across thread counts by construction; each iteration asserts the fact
-//! count to pin that down.
+//! whose match phase runs on several workers), the Theorem 3 `abcn`
+//! pattern workload (small rounds that stay below the parallel dispatch
+//! threshold — the sweep documents that thread count is free there), and
+//! `delta1M` (a settled session resumed with a batch whose semi-naive
+//! delta commits ~one million facts in a single round — a wide parallel
+//! match followed by a million-insert sequential commit, so it shows how
+//! much of a round the serial commit takes). Results are bit-for-bit
+//! identical across thread counts by construction; each iteration asserts
+//! the fact count to pin that down.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use seqlog_bench::{
@@ -53,7 +54,7 @@ fn bench(c: &mut Criterion) {
     // Million-fact delta: settle one 41-symbol seed (41 `grow` suffixes,
     // 1 681 `pairs`), then assert the other 25 seeds in one batch. The
     // resumed fixpoint's delta rounds commit ~1.14M facts — wide enough
-    // that every `pairs` dedupe runs through the sharded commit.
+    // that every `pairs` round matches on several workers.
     let words = distinct_suffix_words(26, 41);
     let mut expected_facts: Option<usize> = None;
     for threads in THREADS {

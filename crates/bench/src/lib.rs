@@ -59,8 +59,8 @@ pub const REP2_SRC: &str = r#"
 
 /// The parallel-scaling self-join workload: `grow` shrinks every seed one
 /// symbol per round (large per-round deltas), and `pairs` squares it — the
-/// kind of wide round the three-phase evaluator's sharded commit spreads
-/// across threads.
+/// kind of wide round whose match phase the evaluator spreads across
+/// threads (the commit that follows is sequential).
 pub const PAIRS_SRC: &str = r#"
     grow(X[2:end]) :- grow(X), X != "".
     pairs(X, Y) :- grow(X), grow(Y).

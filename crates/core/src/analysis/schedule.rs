@@ -43,10 +43,8 @@ pub struct Stratum {
     pub recursive: bool,
     /// True when some clause of the stratum is *constructive* (its head can
     /// create sequences not present in the body bindings: concatenations,
-    /// transducer calls — the distinction Theorem 3 builds on). The
-    /// evaluator uses this as a commit hint: a non-constructive stratum's
-    /// rounds evaluate heads entirely against the epoch-frozen store, so
-    /// the merge phase can skip the intern-merge scan outright.
+    /// transducer calls — the distinction Theorem 3 builds on). The magic
+    /// transformation's fallback gate reads it.
     pub constructive: bool,
 }
 

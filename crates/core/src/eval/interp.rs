@@ -15,7 +15,7 @@ use seqlog_sequence::{FxHashMap, FxHashSet, FxHasher, SeqId};
 use std::hash::Hasher;
 
 #[inline]
-pub(crate) fn hash_tuple(tuple: &[SeqId]) -> u64 {
+fn hash_tuple(tuple: &[SeqId]) -> u64 {
     let mut h = FxHasher::default();
     h.write_usize(tuple.len());
     for &id in tuple {
@@ -24,51 +24,20 @@ pub(crate) fn hash_tuple(tuple: &[SeqId]) -> u64 {
     h.finish()
 }
 
-/// Number of hash-range shards in each relation's dedupe index.
-///
-/// A tuple's shard is the top nibble of its hash ([`shard_of`]), so shard
-/// membership is a pure function of the tuple value — **never** of the
-/// thread count — and the linear-probe walk inside a shard uses the low
-/// bits, independent of the shard selector. The parallel commit phase gives
-/// each worker exclusive ownership of a disjoint set of shards; everything
-/// it does (probe order, slot choice, verdicts) is then a deterministic
-/// function of the relation state and the candidate list alone.
-pub(crate) const INDEX_SHARDS: usize = 16;
-
-#[inline]
-pub(crate) fn shard_of(hash: u64) -> usize {
-    (hash >> 60) as usize
-}
-
 /// Slot marker for a removed entry. A tombstone keeps the probe chains that
 /// ran through the slot intact (an empty slot would cut them short); lookups
-/// walk past it, and shard rebuilds (compaction) clear them.
+/// walk past it, and index rebuilds (growth, compaction) clear them.
 const TOMBSTONE: u32 = u32::MAX;
 
-/// Tag bit of a *provisional* slot entry: during the sharded dedupe phase a
-/// newly admitted candidate occupies its slot as `PROV_ENTRY | cand_index`
-/// so later same-round duplicates collide with it. The merge phase patches
-/// each admitted slot to a real position (or tombstones it when a budget
-/// error aborts the round) before the relation is used again.
-const PROV_ENTRY: u32 = 1 << 31;
-
-/// Verdict of [`Relation::dedupe_candidates`] for a duplicate candidate.
-pub(crate) const CAND_DUP: u32 = u32::MAX;
-
-/// One shard's admissions from the dedupe phase: `(candidate ordinal,
-/// occupied slot)` pairs in probe order.
-type ShardAdmissions = Vec<(u32, u32)>;
-
-/// One shard of the open-addressing index from tuple hash to tuple
-/// position: `slots` holds `pos + 1` (0 = empty, [`TOMBSTONE`] = removed,
-/// [`PROV_ENTRY`]`| cand` = provisionally admitted this round) in a
-/// power-of-two table with linear probing. Duplicate detection costs exactly
-/// one hash computation and one probe walk per insert — no separate
-/// `contains` + `insert` pair, and no tuple clone into a side set.
+/// Open-addressing index from tuple hash to tuple position: `slots` holds
+/// `pos + 1` (0 = empty, [`TOMBSTONE`] = removed) in a power-of-two table
+/// with linear probing. Duplicate detection costs exactly one hash
+/// computation and one probe walk per insert — no separate `contains` +
+/// `insert` pair, and no tuple clone into a side set.
 #[derive(Clone, Debug, Default)]
 struct TupleIndex {
     slots: Box<[u32]>,
-    /// Stored entries (real or provisional) in this shard.
+    /// Stored entries.
     entries: usize,
     /// Live tombstone count: buried slots still lengthen probe chains, so
     /// they count toward the load factor until a rebuild clears them.
@@ -76,20 +45,12 @@ struct TupleIndex {
 }
 
 impl TupleIndex {
-    fn with_capacity(cap: usize) -> Self {
-        Self {
-            slots: vec![0u32; cap.next_power_of_two()].into_boxed_slice(),
-            entries: 0,
-            tombstones: 0,
-        }
-    }
-
-    /// Walk the probe sequence for `hash`; `matches(raw)` decides equality
-    /// against the raw slot entry (a real `pos + 1` or a [`PROV_ENTRY`]).
-    /// Returns `Ok(raw)` when an equal tuple exists, `Err(slot)` with the
+    /// Walk the probe sequence for `hash`; `matches(pos)` decides equality.
+    /// Returns `Ok(pos)` when an equal tuple exists, `Err(slot)` with the
     /// insertion slot otherwise (reusing the first tombstone on the chain).
+    /// The table must be non-empty.
     #[inline]
-    fn probe_raw(&self, hash: u64, matches: impl Fn(u32) -> bool) -> Result<u32, usize> {
+    fn probe(&self, hash: u64, matches: impl Fn(u32) -> bool) -> Result<u32, usize> {
         debug_assert!(!self.slots.is_empty());
         let mask = self.slots.len() - 1;
         let mut i = (hash as usize) & mask;
@@ -99,25 +60,13 @@ impl TupleIndex {
                 0 => return Err(reusable.unwrap_or(i)),
                 TOMBSTONE => reusable = reusable.or(Some(i)),
                 stored => {
-                    if matches(stored) {
-                        return Ok(stored);
+                    if matches(stored - 1) {
+                        return Ok(stored - 1);
                     }
                 }
             }
             i = (i + 1) & mask;
         }
-    }
-
-    /// [`TupleIndex::probe_raw`] specialized to real positions (no
-    /// provisional entries present — the steady state outside the commit
-    /// phase). `matches(pos)` decides equality, `Ok(pos)` on a hit.
-    #[inline]
-    fn probe(&self, hash: u64, matches: impl Fn(u32) -> bool) -> Result<u32, usize> {
-        self.probe_raw(hash, |raw| {
-            debug_assert_ne!(raw & PROV_ENTRY, PROV_ENTRY, "provisional entry leaked");
-            matches(raw - 1)
-        })
-        .map(|raw| raw - 1)
     }
 
     /// The slot currently holding the position accepted by `matches`, if any.
@@ -143,17 +92,12 @@ impl TupleIndex {
     }
 
     #[inline]
-    fn occupy_raw(&mut self, slot: usize, raw: u32) {
+    fn occupy(&mut self, slot: usize, pos: u32) {
         if self.slots[slot] == TOMBSTONE {
             self.tombstones -= 1;
         }
-        self.slots[slot] = raw;
+        self.slots[slot] = pos + 1;
         self.entries += 1;
-    }
-
-    #[inline]
-    fn occupy(&mut self, slot: usize, pos: u32) {
-        self.occupy_raw(slot, pos + 1);
     }
 
     /// Tombstone the slot holding position `pos` (found via `hash`).
@@ -165,33 +109,42 @@ impl TupleIndex {
         }
     }
 
-    /// Whether admitting `incoming` more entries would push this shard past
-    /// the 3/4 load factor (tombstones count: they lengthen probe chains).
+    /// Whether one more entry would push the table past half load
+    /// (tombstones count: they lengthen probe chains). Linear probing
+    /// slows sharply above that: at 3/4 load, batch-closure rounds walked
+    /// about three times as many slots per probe.
     #[inline]
-    fn needs_growth(&self, incoming: usize) -> bool {
-        (self.entries + self.tombstones + incoming) * 4 >= self.slots.len() * 3
+    fn needs_growth(&self) -> bool {
+        (self.entries + self.tombstones + 1) * 2 > self.slots.len()
     }
 
-    /// Rebuild from `(pos, hash)` pairs, dropping tombstones, with room for
-    /// `extra` further entries before the next growth.
-    fn rebuild(&mut self, pairs: &[(u32, u64)], extra: usize) {
-        let need = (pairs.len() + extra) * 2;
-        let cap = need.max(8).next_power_of_two();
+    /// Rebuild from the tuple hashes (position = index into `hashes`),
+    /// dropping tombstones, at twice the live size.
+    fn rebuild(&mut self, hashes: &[u64]) {
+        let cap = (hashes.len() * 2).max(8).next_power_of_two();
         self.slots = vec![0u32; cap].into_boxed_slice();
-        self.entries = pairs.len();
+        self.entries = hashes.len();
         self.tombstones = 0;
         let mask = cap - 1;
-        for &(pos, hash) in pairs {
+        for (pos, &hash) in hashes.iter().enumerate() {
             let mut i = (hash as usize) & mask;
             while self.slots[i] != 0 {
                 i = (i + 1) & mask;
             }
-            self.slots[i] = pos + 1;
+            self.slots[i] = pos as u32 + 1;
         }
     }
 }
 
 /// The tuples of one predicate.
+///
+/// A relation keeps its tuples in insertion order, one cached hash per
+/// tuple, one open-addressing tuple index over those hashes, and one
+/// posting list per (column, value). Tuples only ever arrive one at a time
+/// through [`Relation::insert`] — a round's sequential commit inserts them
+/// in task order — so the insertion order is a function of the round's
+/// task list alone. The index grows at half load, and growth and
+/// [`Relation::compact`] each rebuild it in one pass over the hashes.
 ///
 /// Removal ([`Relation::remove`]/[`Relation::remove_at`]) is two-phase:
 /// removed tuples stay at their positions as *tombstones* (their index slots
@@ -207,10 +160,8 @@ pub struct Relation {
     tuples: Vec<Box<[SeqId]>>,
     /// Cached tuple hashes, parallel to `tuples` (reused on index growth).
     hashes: Vec<u64>,
-    /// Dedupe index, sharded by hash range ([`INDEX_SHARDS`] shards, empty
-    /// until the first insert). Workers of the parallel commit phase own
-    /// disjoint shards; all other paths go through them transparently.
-    shards: Box<[TupleIndex]>,
+    /// Dedupe index (empty until the first insert).
+    index: TupleIndex,
     /// `col_index[c][v]` = positions of tuples with value `v` in column `c`.
     col_index: Vec<FxHashMap<SeqId, Vec<u32>>>,
     /// Positions removed but not yet compacted away (normally empty).
@@ -218,12 +169,6 @@ pub struct Relation {
 }
 
 impl Relation {
-    fn ensure_shards(&mut self) {
-        if self.shards.is_empty() {
-            self.shards = (0..INDEX_SHARDS).map(|_| TupleIndex::default()).collect();
-        }
-    }
-
     /// Insert a tuple; returns `true` when it was new. Exactly one hash
     /// computation and one probe walk; the tuple is moved, never cloned.
     pub fn insert(&mut self, tuple: Box<[SeqId]>) -> bool {
@@ -231,16 +176,11 @@ impl Relation {
             self.dead.is_empty(),
             "insert into a relation with pending tombstones; compact first"
         );
-        self.ensure_shards();
-        let hash = hash_tuple(&tuple);
-        let s = shard_of(hash);
-        if self.shards[s].slots.is_empty() {
-            self.shards[s] = TupleIndex::with_capacity(8);
+        if self.index.slots.is_empty() {
+            self.index.rebuild(&self.hashes);
         }
-        let Err(slot) = self.shards[s].probe(hash, |pos| {
-            let p = pos as usize;
-            self.hashes[p] == hash && self.tuples[p][..] == tuple[..]
-        }) else {
+        let hash = hash_tuple(&tuple);
+        let Err(slot) = self.probe_stored(&tuple, hash) else {
             return false;
         };
         let pos = self.tuples.len() as u32;
@@ -252,33 +192,19 @@ impl Relation {
         }
         self.tuples.push(tuple);
         self.hashes.push(hash);
-        // Grow at 3/4 load so probe chains stay short (tombstones left by
+        // Grow at half load so probe chains stay short (tombstones left by
         // a tail-only compaction still occupy chain slots, so they count).
-        if self.shards[s].needs_growth(1) {
-            self.rebuild_shard(s, 0);
+        if self.index.needs_growth() {
+            self.index.rebuild(&self.hashes);
         } else {
-            self.shards[s].occupy(slot, pos);
+            self.index.occupy(slot, pos);
         }
         true
     }
 
-    /// Rebuild shard `s` from the tuple hashes, dropping its tombstones,
-    /// leaving room for `extra` further entries before the next growth.
-    fn rebuild_shard(&mut self, s: usize, extra: usize) {
-        debug_assert!(self.dead.is_empty(), "rebuild with pending tombstones");
-        let pairs: Vec<(u32, u64)> = self
-            .hashes
-            .iter()
-            .enumerate()
-            .filter(|&(_, &h)| shard_of(h) == s)
-            .map(|(pos, &h)| (pos as u32, h))
-            .collect();
-        self.shards[s].rebuild(&pairs, extra);
-    }
-
     #[inline]
     fn probe_stored(&self, tuple: &[SeqId], hash: u64) -> Result<u32, usize> {
-        self.shards[shard_of(hash)].probe(hash, |pos| {
+        self.index.probe(hash, |pos| {
             let p = pos as usize;
             self.hashes[p] == hash && self.tuples[p][..] == tuple[..]
         })
@@ -286,26 +212,15 @@ impl Relation {
 
     /// Membership test.
     pub fn contains(&self, tuple: &[SeqId]) -> bool {
-        if self.tuples.is_empty() {
-            return false;
-        }
-        let hash = hash_tuple(tuple);
-        if self.shards[shard_of(hash)].slots.is_empty() {
-            return false;
-        }
-        self.probe_stored(tuple, hash).is_ok()
+        self.position_of(tuple).is_some()
     }
 
     /// Position of `tuple`, if present (and not tombstoned).
     pub fn position_of(&self, tuple: &[SeqId]) -> Option<u32> {
-        if self.tuples.is_empty() {
+        if self.index.slots.is_empty() {
             return None;
         }
-        let hash = hash_tuple(tuple);
-        if self.shards[shard_of(hash)].slots.is_empty() {
-            return None;
-        }
-        self.probe_stored(tuple, hash).ok()
+        self.probe_stored(tuple, hash_tuple(tuple)).ok()
     }
 
     /// Remove the tuple at position `pos`: bury its index slot, withdraw its
@@ -319,7 +234,7 @@ impl Relation {
             return false;
         }
         let hash = self.hashes[p];
-        self.shards[shard_of(hash)].bury(hash, pos);
+        self.index.bury(hash, pos);
         for c in 0..self.tuples[p].len() {
             let v = self.tuples[p][c];
             if let Some(list) = self.col_index[c].get_mut(&v) {
@@ -381,9 +296,7 @@ impl Relation {
                 self.col_index[c].entry(v).or_default().push(pos as u32);
             }
         }
-        for s in 0..INDEX_SHARDS {
-            self.rebuild_shard(s, 0);
-        }
+        self.index.rebuild(&self.hashes);
     }
 
     /// Number of tuple *positions* (including tombstones, which exist only
@@ -430,169 +343,6 @@ impl Relation {
         let start = list.partition_point(|&p| (p as usize) < from);
         let end = list.partition_point(|&p| (p as usize) < to);
         &list[start..end]
-    }
-
-    /// Sharded dedupe of one round's commit candidates.
-    ///
-    /// `cand_hashes[i]` is the tuple hash of candidate `i` and `tuple_of(i)`
-    /// its (fully resolved) tuple; candidates are listed in **task-ordinal
-    /// order**. Returns one verdict per candidate: the in-shard slot it
-    /// provisionally occupies when it is new, or [`CAND_DUP`] when it
-    /// duplicates a stored tuple or an earlier candidate.
-    ///
-    /// Each shard is pre-grown for its incoming candidates (no rebuild can
-    /// happen mid-phase) and then processed independently — by up to
-    /// `workers` threads when the round is large, or inline in shard order
-    /// otherwise. Both routes run the exact same per-shard loop over the
-    /// same per-shard candidate lists, so the verdicts **and** the slot
-    /// choices are identical for every worker count: within a shard,
-    /// candidates are probed in ordinal order against state that only that
-    /// shard's own earlier candidates can have changed.
-    ///
-    /// The caller must settle every admitted slot before the relation is
-    /// used again: [`Relation::commit_candidate`] for candidates that land,
-    /// [`Relation::abandon_candidate`] for the rest (budget/error unwind).
-    pub(crate) fn dedupe_candidates<'t, F>(
-        &mut self,
-        cand_hashes: &[u64],
-        tuple_of: F,
-        workers: usize,
-    ) -> Vec<u32>
-    where
-        F: Fn(u32) -> &'t [SeqId] + Sync,
-    {
-        debug_assert!(
-            self.dead.is_empty(),
-            "dedupe into a relation with pending tombstones; compact first"
-        );
-        assert!(
-            cand_hashes.len() < (PROV_ENTRY as usize) - 1,
-            "candidate round too large for provisional slot entries"
-        );
-        self.ensure_shards();
-        // Bucket candidates by shard; ordinal order is preserved per shard.
-        let mut by_shard: Vec<Vec<u32>> = vec![Vec::new(); INDEX_SHARDS];
-        for (i, &h) in cand_hashes.iter().enumerate() {
-            by_shard[shard_of(h)].push(i as u32);
-        }
-        for (s, shard_cands) in by_shard.iter().enumerate() {
-            let incoming = shard_cands.len();
-            if incoming == 0 {
-                continue;
-            }
-            if self.shards[s].slots.is_empty() || self.shards[s].needs_growth(incoming) {
-                self.rebuild_shard(s, incoming);
-            }
-        }
-        let tuples = &self.tuples;
-        let hashes = &self.hashes;
-        // One shard's candidates, probed in ordinal order. Raw entries are
-        // either real positions or provisional entries from this very loop;
-        // both compare by value, so intra-round duplicates are caught no
-        // matter which candidate came first.
-        let process = |shard: &mut TupleIndex, cands: &[u32]| -> ShardAdmissions {
-            let mut admitted = Vec::new();
-            for &ci in cands {
-                let h = cand_hashes[ci as usize];
-                let cand = tuple_of(ci);
-                match shard.probe_raw(h, |raw| {
-                    if raw & PROV_ENTRY != 0 {
-                        let other = raw & !PROV_ENTRY;
-                        cand_hashes[other as usize] == h && tuple_of(other) == cand
-                    } else {
-                        let p = (raw - 1) as usize;
-                        hashes[p] == h && tuples[p][..] == cand[..]
-                    }
-                }) {
-                    Ok(_) => {}
-                    Err(slot) => {
-                        shard.occupy_raw(slot, PROV_ENTRY | ci);
-                        admitted.push((ci, slot as u32));
-                    }
-                }
-            }
-            admitted
-        };
-        let workers = workers.clamp(1, INDEX_SHARDS);
-        let mut admitted_by_shard: Vec<ShardAdmissions>;
-        if workers <= 1 {
-            admitted_by_shard = Vec::with_capacity(INDEX_SHARDS);
-            for (s, shard) in self.shards.iter_mut().enumerate() {
-                admitted_by_shard.push(process(shard, &by_shard[s]));
-            }
-        } else {
-            let per = INDEX_SHARDS.div_ceil(workers);
-            let mut units: Vec<(usize, &mut TupleIndex)> =
-                self.shards.iter_mut().enumerate().collect();
-            let mut results: Vec<Vec<(usize, ShardAdmissions)>> = std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                while !units.is_empty() {
-                    let rest = units.split_off(per.min(units.len()));
-                    let chunk = std::mem::replace(&mut units, rest);
-                    let by_shard = &by_shard;
-                    let process = &process;
-                    handles.push(scope.spawn(move || {
-                        chunk
-                            .into_iter()
-                            .map(|(s, shard)| (s, process(shard, &by_shard[s])))
-                            .collect::<Vec<_>>()
-                    }));
-                }
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            admitted_by_shard = vec![Vec::new(); INDEX_SHARDS];
-            for group in &mut results {
-                for (s, admitted) in group.drain(..) {
-                    admitted_by_shard[s] = admitted;
-                }
-            }
-        }
-        let mut verdicts = vec![CAND_DUP; cand_hashes.len()];
-        for admitted in &admitted_by_shard {
-            for &(ci, slot) in admitted {
-                verdicts[ci as usize] = slot;
-            }
-        }
-        verdicts
-    }
-
-    /// Land an admitted candidate: append its tuple at the end of the
-    /// relation and patch its provisional slot to the real position.
-    pub(crate) fn commit_candidate(&mut self, tuple: Box<[SeqId]>, hash: u64, slot: u32) {
-        let s = shard_of(hash);
-        debug_assert_ne!(
-            self.shards[s].slots[slot as usize] & PROV_ENTRY,
-            0,
-            "commit of a slot that holds no provisional entry"
-        );
-        let pos = self.tuples.len() as u32;
-        if self.col_index.len() < tuple.len() {
-            self.col_index.resize_with(tuple.len(), FxHashMap::default);
-        }
-        for (c, &v) in tuple.iter().enumerate() {
-            self.col_index[c].entry(v).or_default().push(pos);
-        }
-        self.tuples.push(tuple);
-        self.hashes.push(hash);
-        self.shards[s].slots[slot as usize] = pos + 1;
-    }
-
-    /// Roll back an admitted candidate that will not land (error unwind):
-    /// its provisional slot becomes a tombstone. A tombstone — not an empty
-    /// slot — because the slot may sit mid-chain for entries admitted after
-    /// it into a reused tombstone; burying it preserves every probe chain
-    /// unconditionally.
-    pub(crate) fn abandon_candidate(&mut self, hash: u64, slot: u32) {
-        let s = shard_of(hash);
-        let shard = &mut self.shards[s];
-        debug_assert_ne!(
-            shard.slots[slot as usize] & PROV_ENTRY,
-            0,
-            "abandon of a slot that holds no provisional entry"
-        );
-        shard.slots[slot as usize] = TOMBSTONE;
-        shard.entries -= 1;
-        shard.tombstones += 1;
     }
 }
 
@@ -652,24 +402,6 @@ impl FactStore {
         let added = self.rels[pred.index()].insert(tuple);
         self.total += usize::from(added);
         added
-    }
-
-    /// Mutable relation access for the commit phase (dedupe + merge).
-    pub(crate) fn relation_mut(&mut self, pred: PredId) -> &mut Relation {
-        &mut self.rels[pred.index()]
-    }
-
-    /// Land one admitted commit candidate (see
-    /// [`Relation::commit_candidate`]), keeping the fact total in step.
-    pub(crate) fn commit_candidate(
-        &mut self,
-        pred: PredId,
-        tuple: Box<[SeqId]>,
-        hash: u64,
-        slot: u32,
-    ) {
-        self.rels[pred.index()].commit_candidate(tuple, hash, slot);
-        self.total += 1;
     }
 
     /// Remove a fact by value; returns `true` when it was present. The
@@ -911,126 +643,49 @@ mod tests {
         assert_eq!(rel.len(), 67);
     }
 
-    /// Drive one dedupe round over `cands` against `rel`, committing every
-    /// admitted candidate in ordinal order (the merge walk's behavior).
-    fn dedupe_commit_all(rel: &mut Relation, cands: &[Vec<SeqId>], workers: usize) -> Vec<bool> {
-        let hashes: Vec<u64> = cands.iter().map(|t| hash_tuple(t)).collect();
-        let verdicts = rel.dedupe_candidates(&hashes, |i| cands[i as usize].as_slice(), workers);
-        verdicts
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| {
-                if v == CAND_DUP {
-                    false
-                } else {
-                    rel.commit_candidate(cands[i].clone().into(), hashes[i], v);
-                    true
-                }
-            })
-            .collect()
-    }
-
     #[test]
-    fn dedupe_candidates_catches_stored_and_intra_round_duplicates() {
-        let mut rel = Relation::default();
-        assert!(rel.insert(vec![sid(1), sid(1)].into()));
-        let cands = vec![
-            vec![sid(1), sid(1)], // dup of stored
-            vec![sid(2), sid(2)], // new
-            vec![sid(2), sid(2)], // intra-round dup of the previous
-            vec![sid(3), sid(3)], // new
-        ];
-        let landed = dedupe_commit_all(&mut rel, &cands, 1);
-        assert_eq!(landed, vec![false, true, false, true]);
-        assert_eq!(rel.len(), 3);
-        // Insertion order: stored tuple first, then admitted in ordinal order.
-        let order: Vec<u32> = rel.iter().map(|t| t[0].0).collect();
-        assert_eq!(order, vec![1, 2, 3]);
-        // The relation is fully consistent afterwards.
-        for t in &cands {
-            assert!(rel.contains(t));
-        }
-        assert!(
-            !rel.insert(vec![sid(2), sid(2)].into()),
-            "slot patched to real"
-        );
-        assert!(rel.insert(vec![sid(4), sid(4)].into()));
-    }
-
-    #[test]
-    fn dedupe_candidates_parallel_matches_sequential_bit_for_bit() {
-        // Large enough that every shard sees candidates and several shards
-        // grow mid-reserve; verdicts and slots must agree for all worker
-        // counts, and the resulting relations must be identical.
-        let cands: Vec<Vec<SeqId>> = (0..2000u32)
-            .map(|i| vec![sid(i % 1500), sid(i / 3)])
-            .collect();
-        let hashes: Vec<u64> = cands.iter().map(|t| hash_tuple(t)).collect();
-        let mut reference: Option<(Vec<u32>, Vec<Vec<u32>>)> = None;
-        for workers in [1usize, 2, 4, 8] {
-            let mut rel = Relation::default();
-            for i in 0..64u32 {
-                rel.insert(vec![sid(i * 3), sid(i)].into());
-            }
-            let verdicts =
-                rel.dedupe_candidates(&hashes, |i| cands[i as usize].as_slice(), workers);
-            for (i, &v) in verdicts.iter().enumerate() {
-                if v != CAND_DUP {
-                    rel.commit_candidate(cands[i].clone().into(), hashes[i], v);
-                }
-            }
-            let order: Vec<Vec<u32>> = rel
-                .iter()
-                .map(|t| t.iter().map(|s| s.0).collect())
-                .collect();
-            match &reference {
-                None => reference = Some((verdicts, order)),
-                Some((v0, o0)) => {
-                    assert_eq!(&verdicts, v0, "verdicts diverge at {workers} workers");
-                    assert_eq!(&order, o0, "insertion order diverges at {workers} workers");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn abandoned_candidates_leave_probe_chains_intact() {
+    fn tail_only_compact_keeps_probe_chains_intact() {
+        // Tail-only compaction (the assert-rollback shape) truncates and
+        // leaves the removed tuples' slots in the index as tombstones.
+        let row = |i: u32| vec![sid(i), sid(i % 5)];
         let mut rel = Relation::default();
         for i in 0..200u32 {
-            rel.insert(vec![sid(i)].into());
+            assert!(rel.insert(row(i).into()));
         }
-        let cands: Vec<Vec<SeqId>> = (200..400u32).map(|i| vec![sid(i)]).collect();
-        let hashes: Vec<u64> = cands.iter().map(|t| hash_tuple(t)).collect();
-        let verdicts = rel.dedupe_candidates(&hashes, |i| cands[i as usize].as_slice(), 4);
-        // Land the first 50 admitted candidates, abandon the rest (the
-        // budget-trip unwind shape).
-        let mut landed = 0;
-        for (i, &v) in verdicts.iter().enumerate() {
-            if v == CAND_DUP {
-                continue;
-            }
-            if landed < 50 {
-                rel.commit_candidate(cands[i].clone().into(), hashes[i], v);
-                landed += 1;
-            } else {
-                rel.abandon_candidate(hashes[i], v);
-            }
+        for i in 150..200u32 {
+            assert!(rel.remove(&row(i)));
         }
-        assert_eq!(rel.len(), 250);
-        // Every stored tuple — old and newly landed — must still be
-        // reachable through its probe chain, and every abandoned candidate
-        // must read as absent and be insertable afresh.
-        for i in 0..250u32 {
-            assert!(rel.contains(&[sid(i)]), "chain broken at {i}");
+        rel.compact();
+        assert_eq!((rel.len(), rel.live_len()), (150, 150));
+        assert!(rel.index.tombstones > 0, "tail-only path keeps tombstones");
+        // Every survivor stays reachable through its probe chain and its
+        // column postings.
+        for i in 0..150u32 {
+            assert_eq!(rel.position_of(&row(i)), Some(i), "chain broken at {i}");
+            assert!(rel.positions_with(0, sid(i), 0, rel.len()).contains(&i));
+            assert!(rel.positions_with(1, sid(i % 5), 0, rel.len()).contains(&i));
         }
-        for i in 250..400u32 {
-            assert!(!rel.contains(&[sid(i)]));
-            assert!(
-                rel.insert(vec![sid(i)].into()),
-                "re-insert after abandon {i}"
-            );
+        // The removed tuples read as absent, and re-insert at the tail.
+        for i in 150..200u32 {
+            assert_eq!(rel.position_of(&row(i)), None);
+            assert!(rel.positions_with(0, sid(i), 0, rel.len()).is_empty());
+            assert!(rel.insert(row(i).into()), "re-insert after compact {i}");
+            assert_eq!(rel.position_of(&row(i)), Some(i));
         }
-        assert_eq!(rel.len(), 400);
+        // Insert past the growth threshold: the rebuilt index (tombstones
+        // swept) still finds everything.
+        let slots = rel.index.slots.len();
+        let mut i = 200u32;
+        while rel.index.slots.len() == slots {
+            assert!(rel.insert(row(i).into()));
+            i += 1;
+        }
+        assert_eq!(rel.index.tombstones, 0);
+        for j in 0..i {
+            assert_eq!(rel.position_of(&row(j)), Some(j), "lost {j} after growth");
+            assert!(!rel.insert(row(j).into()), "dup {j} after growth");
+        }
+        assert_eq!(rel.len(), i as usize);
     }
 
     #[test]

@@ -8,56 +8,39 @@
 //! round, and every sequence occurring in a committed fact enters the domain
 //! together with its contiguous subsequences.
 //!
-//! # Three-phase rounds: match, sharded commit, deterministic merge
+//! # Two-phase rounds: parallel match, sequential commit
 //!
-//! Every round runs in three phases:
+//! Every round runs in two phases:
 //!
-//! 1. **Match + frozen head evaluation** — parallel, read-only on shared
-//!    state. The round's work is split into [`MatchTask`]s (one clause,
-//!    optionally restricted to a fixed-size chunk of one body literal's
-//!    semi-naive delta). Each task runs the matcher over shared
-//!    `&SeqStore`/`&FactStore`/`&ExtendedDomain` borrows, emits *recipes*
-//!    (fully bound substitutions, flat in a per-task [`RecipeBuf`]), and
-//!    immediately evaluates the clause head under each recipe against the
-//!    **epoch-frozen** sequence store: already-interned values resolve by
-//!    read-only lookup, and genuinely new values (constructive heads —
-//!    fresh concatenations, transducer outputs, uninterned windows) are
-//!    collected in a task-local [`PendingInterns`] batch under provisional
-//!    ids. Nothing shared is mutated, which is why tasks can run on
-//!    [`EvalConfig::threads`] worker threads (`std::thread::scope`) with no
-//!    synchronization beyond a task counter.
-//! 2. **Sharded commit (dedupe)** — parallel over index shards. Every
-//!    task's candidate tuples are bucketed per head relation, and each
-//!    relation's open-addressing dedupe index is split into
-//!    [`interp::INDEX_SHARDS`] hash-range shards (a tuple's shard is a
-//!    function of its hash, never of the thread count). Workers own
-//!    disjoint shards and decide new-vs-duplicate for their shards'
-//!    candidates concurrently, admitting new tuples into provisional index
-//!    slots. Within a shard, candidates are processed in task-ordinal
-//!    order against state only that shard's earlier candidates can have
-//!    touched — so every verdict and every slot choice is a deterministic
-//!    function of the relation and the candidate list alone.
-//! 3. **Deterministic merge** — sequential, in task order (independent of
-//!    which worker ran what when): each task's pending interns are applied
-//!    to the store (first-encounter order; cross-task duplicates collapse),
-//!    admitted facts append to their relations in task-ordinal order
-//!    (patching their provisional slots to real positions), the domain is
-//!    closed over every inserted sequence, statistics accumulate, and
-//!    budgets are enforced incrementally — a single wide round cannot
-//!    overshoot `max_facts` by more than one fact, exactly as in the
-//!    sequential-commit engine. On a budget or head-evaluation error the
-//!    merge stops at the erring ordinal and the not-yet-applied provisional
-//!    slots are rolled back (tombstoned), leaving the relations consistent.
+//! 1. **Match** — parallel, read-only on shared state. The round's work is
+//!    split into [`MatchTask`]s (one clause, optionally restricted to a
+//!    fixed-size chunk of one body literal's semi-naive delta, or to a
+//!    chunk of DRed's re-derivation goals). Each task runs the matcher
+//!    over shared `&SeqStore`/`&FactStore`/`&ExtendedDomain` borrows and
+//!    emits *recipes* (fully bound substitutions, flat in a per-task
+//!    [`RecipeBuf`]). Nothing shared is mutated, which is why tasks can
+//!    run on [`EvalConfig::threads`] worker threads (`std::thread::scope`)
+//!    with no synchronization beyond a task counter. The buffers come back
+//!    in task order, whichever worker ran which task.
+//! 2. **Commit** — sequential, in task order. Each task's recipes are
+//!    walked in emission order: the clause head is evaluated under the
+//!    recipe against `&mut SeqStore`, interning fresh values
+//!    (concatenations, transducer outputs, windows) directly; a goal
+//!    recipe keeps only its goal; the tuple goes through one
+//!    [`interp::Relation::insert`]; a new fact's sequences are closed into
+//!    the domain; statistics accumulate; and the budgets are checked after
+//!    every new fact — a single wide round cannot overshoot `max_facts` by
+//!    more than one fact. The first head-evaluation or budget error stops
+//!    the walk at its recipe.
 //!
-//! Because the task list depends only on the program and the interpretation
-//! (never on the thread count), shard membership only on tuple hashes, and
-//! the merge walks in task order, evaluation is **bit-for-bit
-//! deterministic**: the model, each relation's insertion order, and
-//! [`EvalStats`] are identical for every `threads` setting, including
-//! `threads: 1`. (Only the *interner's* private id numbering is defined by
-//! the deterministic merge schedule rather than by head-evaluation order;
-//! it is unobservable through the query API, the WAL, and snapshots, which
-//! are all symbol-level.)
+//! Evaluation is **bit-for-bit deterministic**: the task list depends only
+//! on the program and the interpretation (never on the thread count), the
+//! match phase returns its buffers in task order, and the commit is one
+//! sequential walk over them. The model, each relation's insertion order,
+//! the interner's id numbering, and [`EvalStats`] are therefore identical
+//! for every `threads` setting, including `threads: 1`, on success and on
+//! error alike. Workers hold only shared borrows, so none of them can
+//! intern: a head value can only be created by the commit walk.
 //!
 //! Read-only matching leans on the closure invariant of Definition 2: every
 //! window of a domain member is already interned, so indexed terms resolve
@@ -124,11 +107,13 @@ pub mod interp;
 pub mod matcher;
 
 use crate::analysis::Stratum;
-use crate::compile::{CBase, CBody, CIdx, CSeq, CompileError, CompiledProgram, PredId, PredTable};
+use crate::compile::{
+    CBase, CBody, CIdx, CSeq, CompileError, CompiledClause, CompiledProgram, PredId, PredTable,
+};
 use crate::registry::TransducerRegistry;
-use interp::{hash_tuple, FactStore, Relation, CAND_DUP};
+use interp::{FactStore, Relation};
 use matcher::{solve_body, solve_body_bound, Bindings, Delta, MatchEnv};
-use seqlog_sequence::{ExtendedDomain, FxHashMap, FxHashSet, PendingInterns, SeqId, SeqStore, Sym};
+use seqlog_sequence::{ExtendedDomain, FxHashSet, SeqId, SeqStore, Sym};
 use seqlog_transducer::{ExecLimits, ExecStats};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -158,31 +143,17 @@ pub struct EvalConfig {
     pub max_seq_len: usize,
     /// Budgets for embedded transducer runs.
     pub exec_limits: ExecLimits,
-    /// Worker threads for the match + head-evaluation and sharded-commit
-    /// phases. `0` (the default) resolves to
-    /// [`std::thread::available_parallelism`]. The result is identical for
-    /// every setting — see the module docs on determinism.
+    /// Worker threads for the match phase. `0` (the default) resolves to
+    /// [`std::thread::available_parallelism`]. The commit phase is always
+    /// sequential, and the result is identical for every setting — see the
+    /// module docs on determinism.
     pub threads: usize,
-    /// Test-only: take the parallel dispatch path even for rounds below
-    /// [`PAR_THRESHOLD`]. The fuzz suites set this to drive their (small)
-    /// generated cases through the multi-worker match and sharded-commit
-    /// machinery; results must still be bit-for-bit identical.
+    /// Test-only: run the match phase on multiple workers even for rounds
+    /// below [`PAR_THRESHOLD`]. The fuzz suites set this to drive their
+    /// (small) generated cases through the multi-worker match; results
+    /// must still be bit-for-bit identical.
     #[doc(hidden)]
     pub danger_force_parallel: bool,
-    /// Test-only **mutant** for mutation-testing the determinism oracle:
-    /// merge the round's task buffers in reverse task order when more than
-    /// one worker is configured. This is the "shard merge order" bug shape;
-    /// the differential fuzz suite must catch it as a cross-thread-count
-    /// divergence.
-    #[doc(hidden)]
-    pub danger_reverse_merge_order: bool,
-    /// Test-only **mutant**: misalign each task's provisional-intern
-    /// resolution table (rotate it by one) when more than one worker is
-    /// configured. This is the "skipped epoch freeze" bug shape — head
-    /// tuples end up pointing at the wrong freshly interned sequences — and
-    /// must be caught by the differential oracle.
-    #[doc(hidden)]
-    pub danger_skip_epoch_freeze: bool,
     /// Test-only: skip the compile-time transducer-fusion pass
     /// ([`crate::analysis::fuse`]) and evaluate chained transducer calls
     /// stage by stage. Fusion is a pure rewrite, so the extent must be
@@ -203,8 +174,6 @@ impl Default for EvalConfig {
             exec_limits: ExecLimits::default(),
             threads: 0,
             danger_force_parallel: false,
-            danger_reverse_merge_order: false,
-            danger_skip_epoch_freeze: false,
             danger_disable_fusion: false,
         }
     }
@@ -392,7 +361,7 @@ impl MatchTask {
 const DELTA_CHUNK: usize = 256;
 
 /// Recipes of one task: fully bound substitutions for the task's clause,
-/// stored flat with stride `n_seq` / `n_idx`. The commit phase re-evaluates
+/// stored flat with stride `n_seq` / `n_idx`. The commit phase evaluates
 /// the clause head under each of them.
 #[derive(Default)]
 struct RecipeBuf {
@@ -406,70 +375,13 @@ struct RecipeBuf {
 
 impl RecipeBuf {
     /// Empty the buffer for reuse, keeping its allocations (the DRed
-    /// over-delete loop runs one scratch buffer across all propagations;
-    /// match workers reuse one scratch buffer across their tasks).
+    /// over-delete loop runs one scratch buffer across all propagations).
     fn clear(&mut self) {
         self.seqs.clear();
         self.idxs.clear();
         self.count = 0;
         self.goal_of.clear();
     }
-}
-
-/// Per-recipe head-evaluation verdict in a [`HeadBuf`]: every head argument
-/// evaluated to a defined value — the tuple is a commit candidate.
-const REC_TUPLE: u8 = 0;
-/// Some head term was undefined (Section 3.2): no fact, no error.
-const REC_UNDEF: u8 = 1;
-/// Head evaluation failed; always the **last** status entry of its buffer
-/// (the worker stops the task), with the cause in [`HeadBuf::error`].
-const REC_ERR: u8 = 2;
-
-/// An error captured during frozen head evaluation (phase 1). Workers
-/// cannot touch shared statistics or raise [`EvalError`]s directly — the
-/// merge phase surfaces the error at its deterministic task-ordinal
-/// position, with exactly the statistics the sequential engine would have
-/// accumulated by that point.
-#[derive(Clone, Debug)]
-enum HeadError {
-    /// A head value exceeded `max_seq_len` (its actual length).
-    SeqLen(usize),
-    /// A transducer term named an unregistered machine.
-    UnknownTransducer(String),
-    /// A transducer run failed (stuck machine or exec budget).
-    Transducer { name: String, error: String },
-}
-
-/// One task's head-evaluation output: the phase-1 workers turn a
-/// [`RecipeBuf`] into this against the epoch-frozen store, and the merge
-/// phase drains it in task order. Tuples may contain *provisional* ids
-/// (tagged with [`seqlog_sequence::PROVISIONAL_BIT`]) referring to the
-/// task-local [`PendingInterns`] batch; those tuples' entries in `hashes`
-/// are placeholders until the merge applies the batch and patches them.
-#[derive(Default)]
-struct HeadBuf {
-    /// Recipes the task emitted (its `RecipeBuf::count`) — the
-    /// `derivations` measure. `status` is shorter than this iff an error
-    /// stopped the task early.
-    count: usize,
-    /// Per evaluated recipe: [`REC_TUPLE`] / [`REC_UNDEF`] / [`REC_ERR`].
-    status: Vec<u8>,
-    /// Candidate head tuples (stride = head arity), [`REC_TUPLE`] recipes
-    /// only, in recipe order.
-    tuples: Vec<SeqId>,
-    /// Tuple hash per [`REC_TUPLE`] recipe (placeholder `0` until patched
-    /// for the ranks listed in `needs_patch`).
-    hashes: Vec<u64>,
-    /// Candidate ranks (indexes into `hashes`) whose tuples hold
-    /// provisional ids.
-    needs_patch: Vec<u32>,
-    /// Task-local fresh sequence values (constructive clauses only).
-    pending: PendingInterns,
-    /// Per evaluated recipe: this recipe's (transducer calls, transducer
-    /// steps). Empty when the clause head contains no transducer term.
-    tstats: Vec<(u64, u64)>,
-    /// The cause behind a trailing [`REC_ERR`] status.
-    error: Option<HeadError>,
 }
 
 /// What one [`Fixpoint::assert_fact_full`] actually changed.
@@ -495,7 +407,7 @@ pub struct AssertOutcome {
 /// [`assert_fact`](Fixpoint::assert_fact) inserts new base facts after a
 /// fixpoint has been reached — closing the extended active
 /// domain over their sequences at assert time, exactly as initial seeding
-/// does — and the next `run` resumes the three-phase round loop with exactly
+/// does — and the next `run` resumes the round loop with exactly
 /// those facts as the semi-naive delta.
 ///
 /// Resumption is sound because `T_{P,db}` is monotone (Definitions 2–3):
@@ -864,7 +776,7 @@ impl Fixpoint {
         self.virgin = false;
     }
 
-    /// Drive the three-phase round loop to quiescence, resuming from the
+    /// Drive the round loop to quiescence, resuming from the
     /// facts asserted since the last run (they — plus any domain growth —
     /// are the first resumed round's delta). On a fresh state this is
     /// exactly batch evaluation. Each call executes at least one round
@@ -900,7 +812,6 @@ impl Fixpoint {
             Strategy::Naive => {
                 let all = Stratum {
                     clauses: (0..program.clauses.len() as u32).collect(),
-                    constructive: program.clauses.iter().any(|c| c.constructive),
                     ..Stratum::default()
                 };
                 let strata = std::slice::from_ref(&all);
@@ -929,8 +840,8 @@ impl Fixpoint {
     /// re-runs only `p`'s stratum and the strata downstream of it, at a
     /// per-skipped-stratum cost of one planning scan.
     ///
-    /// Determinism is inherited from the three-phase rounds: stratum order,
-    /// each round's task list, and the task-order merge depend only on
+    /// Determinism is inherited from the two-phase rounds: stratum order,
+    /// each round's task list, and the task-order commit depend only on
     /// the program and the interpretation — never the thread count — so
     /// results are bit-for-bit identical for every `threads` setting.
     ///
@@ -1042,7 +953,6 @@ impl Fixpoint {
                         &tasks,
                         &[],
                         done[si].as_deref(),
-                        stratum.constructive,
                         &mut members,
                         store,
                         registry,
@@ -1079,15 +989,14 @@ impl Fixpoint {
         Ok(())
     }
 
-    /// One round over a planned task list: phase 1 ([`match_eval_round`])
-    /// then phases 2 + 3 ([`commit_round`]). Every round goes through here
-    /// — the round loop's and DRed's re-derive round alike. Counts the
-    /// round and returns how many facts it added. Goal tasks index
-    /// `goals`; delta tasks measure their pre-round prefix against
-    /// `sizes_before` (`None`: the global watermarks); `constructive` is
-    /// the commit hint of [`Stratum::constructive`] for the planned
-    /// clauses; `members` is scratch for the round's domain snapshot,
-    /// reused across rounds.
+    /// One round over a planned task list: the parallel match
+    /// ([`match_eval_round`]) then the sequential commit
+    /// ([`commit_round`]). Every round goes through here — the round
+    /// loop's and DRed's re-derive round alike. Counts the round and
+    /// returns how many facts it added. Goal tasks index `goals`; delta
+    /// tasks measure their pre-round prefix against `sizes_before`
+    /// (`None`: the global watermarks); `members` is scratch for the
+    /// round's domain snapshot, reused across rounds.
     #[allow(clippy::too_many_arguments)]
     fn round(
         &mut self,
@@ -1095,7 +1004,6 @@ impl Fixpoint {
         tasks: &[MatchTask],
         goals: &[Box<[SeqId]>],
         sizes_before: Option<&[usize]>,
-        constructive: bool,
         members: &mut Vec<SeqId>,
         store: &mut SeqStore,
         registry: &TransducerRegistry,
@@ -1118,7 +1026,7 @@ impl Fixpoint {
         {
             members.extend(self.domain.iter());
         }
-        let mut bufs = match_eval_round(
+        let bufs = match_eval_round(
             program,
             tasks,
             goals,
@@ -1127,21 +1035,20 @@ impl Fixpoint {
             &self.domain,
             members,
             sizes_before.unwrap_or(&self.sizes_done),
-            registry,
             config,
             threads,
         );
         commit_round(
             program,
             tasks,
-            &mut bufs,
+            &bufs,
+            goals,
             store,
             &mut self.facts,
             &mut self.domain,
+            registry,
             config,
             &mut self.stats,
-            threads,
-            constructive,
         )
     }
 
@@ -1441,14 +1348,12 @@ impl Fixpoint {
                 }
             }
             if !tasks.is_empty() {
-                let constructive = tasks.iter().any(|t| program.clauses[t.clause].constructive);
                 let mut members = Vec::new();
                 self.round(
                     program,
                     &tasks,
                     &goals,
                     None,
-                    constructive,
                     &mut members,
                     store,
                     registry,
@@ -1550,11 +1455,9 @@ fn task_cost(
     }
 }
 
-/// Phase 1: run every match task and evaluate its clause head under each
-/// emitted recipe against the epoch-frozen store, on `threads` workers when
-/// worthwhile. Buffers are returned in task order regardless of which
-/// worker ran which task. Read-only on all shared state: fresh sequence
-/// values land in each [`HeadBuf`]'s task-local [`PendingInterns`] batch.
+/// Phase 1: run every match task, on `threads` workers when worthwhile.
+/// Buffers are returned in task order regardless of which worker ran
+/// which task. Read-only on all shared state.
 #[allow(clippy::too_many_arguments)]
 fn match_eval_round(
     program: &CompiledProgram,
@@ -1565,17 +1468,16 @@ fn match_eval_round(
     domain: &ExtendedDomain,
     members: &[SeqId],
     sizes_before: &[usize],
-    registry: &TransducerRegistry,
     config: &EvalConfig,
     threads: usize,
-) -> Vec<HeadBuf> {
+) -> Vec<RecipeBuf> {
     let workers = threads.min(tasks.len());
     let estimated: usize = tasks
         .iter()
         .map(|t| task_cost(program, t, facts, members.len()))
         .fold(0usize, usize::saturating_add);
-    let run_one = |task: &MatchTask, scratch: &mut RecipeBuf| -> HeadBuf {
-        scratch.clear();
+    let run_one = |task: &MatchTask| -> RecipeBuf {
+        let mut buf = RecipeBuf::default();
         run_match_task(
             program,
             task,
@@ -1585,34 +1487,25 @@ fn match_eval_round(
             domain,
             members,
             sizes_before,
-            scratch,
+            &mut buf,
         );
-        eval_task_heads(
-            &program.clauses[task.clause],
-            scratch,
-            goals,
-            store,
-            registry,
-            config,
-        )
+        buf
     };
     if workers <= 1 || (estimated < PAR_THRESHOLD && !config.danger_force_parallel) {
-        let mut scratch = RecipeBuf::default();
-        return tasks.iter().map(|t| run_one(t, &mut scratch)).collect();
+        return tasks.iter().map(run_one).collect();
     }
     let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<HeadBuf>> = Vec::new();
+    let mut slots: Vec<Option<RecipeBuf>> = Vec::new();
     slots.resize_with(tasks.len(), || None);
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 s.spawn(|| {
-                    let mut local: Vec<(usize, HeadBuf)> = Vec::new();
-                    let mut scratch = RecipeBuf::default();
+                    let mut local: Vec<(usize, RecipeBuf)> = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(task) = tasks.get(i) else { break };
-                        local.push((i, run_one(task, &mut scratch)));
+                        local.push((i, run_one(task)));
                     }
                     local
                 })
@@ -1712,210 +1605,47 @@ fn emit_recipes(b: &mut Bindings, members: &[SeqId], int_upper: i64, out: &mut R
     rec(b, 0, 0, members, int_upper, out);
 }
 
-/// One head relation's commit candidates for a round, in task-ordinal
-/// order across every task whose clause heads the relation.
-struct RelCands {
-    pred: PredId,
-    /// `(task index, flat offset into that task's `HeadBuf::tuples`)` per
-    /// candidate.
-    cands: Vec<(u32, u32)>,
-    /// Candidate tuple hashes, parallel to `cands`.
-    hashes: Vec<u64>,
-    /// Per candidate after dedupe: a provisional index slot, or
-    /// [`CAND_DUP`].
-    verdicts: Vec<u32>,
-}
-
-/// Phases 2 + 3: the sharded commit and the deterministic merge.
-///
-/// * **Intern-merge** (sequential, task order): apply each task's pending
-///   interns to the store and patch its tuples' provisional ids to the
-///   resolved handles (re-hashing the patched tuples). Cross-task
-///   duplicates collapse because [`PendingInterns::resolve`] checks the
-///   frozen store first and [`PendingInterns::apply`] re-checks at apply
-///   time.
-/// * **Sharded dedupe** (parallel over index shards): group candidates per
-///   head relation in task-ordinal order and let
-///   [`Relation::dedupe_candidates`] decide new-vs-duplicate, admitting
-///   new tuples into provisional index slots.
-/// * **Apply walk** (sequential, task order): accumulate statistics,
-///   surface head-evaluation errors at their deterministic ordinal
-///   position, append admitted facts (patching their provisional slots to
-///   real positions), close the domain, and enforce budgets incrementally
-///   — a wide round cannot overshoot `max_facts` by more than one fact,
-///   exactly as the sequential-commit engine couldn't. On error the
-///   not-yet-applied provisional slots are tombstoned
-///   ([`Relation::abandon_candidate`]), leaving every probe chain intact.
+/// Phase 2: the sequential commit. Walks the tasks in task order and each
+/// task's recipes in emission order: the head is evaluated against the
+/// store ([`eval_recipe_head`], interning fresh values), a defined head
+/// instance is inserted, a new fact's sequences are closed into the
+/// domain, and the budgets are checked after every new fact — a wide
+/// round cannot overshoot `max_facts` by more than one fact. The first
+/// error stops the walk at its recipe; facts committed before it stay.
+/// Returns how many facts the round added.
 #[allow(clippy::too_many_arguments)]
 fn commit_round(
     program: &CompiledProgram,
     tasks: &[MatchTask],
-    bufs: &mut [HeadBuf],
+    bufs: &[RecipeBuf],
+    goals: &[Box<[SeqId]>],
     store: &mut SeqStore,
     facts: &mut FactStore,
     domain: &mut ExtendedDomain,
+    registry: &TransducerRegistry,
     config: &EvalConfig,
     stats: &mut EvalStats,
-    threads: usize,
-    constructive: bool,
 ) -> Result<usize, EvalError> {
-    // The merge order is the task order — never the completion order. The
-    // reverse-order mutant models getting this wrong in a way only a
-    // multi-worker configuration exhibits.
-    let reverse = config.danger_reverse_merge_order && threads > 1;
-    let order: Vec<u32> = if reverse {
-        (0..tasks.len() as u32).rev().collect()
-    } else {
-        (0..tasks.len() as u32).collect()
-    };
-
-    // Intern-merge: apply pending batches in merge order. Every batch is
-    // applied even when a later error cuts the round short — interner
-    // content is unobservable (queries, WAL, and snapshots are all
-    // symbol-level), only thread-count-independence matters.
-    //
-    // The scheduler's per-stratum constructive flag
-    // ([`crate::analysis::Stratum::constructive`], lifted from the
-    // per-clause compile flags) lets non-constructive rounds skip the scan:
-    // their head values all resolve against the frozen store (matched
-    // bindings are domain members, hence window-closed; constants are
-    // pre-closed), so no task can carry a pending batch.
-    debug_assert!(
-        constructive || bufs.iter().all(|b| b.pending.is_empty()),
-        "non-constructive round produced pending interns"
-    );
-    if constructive {
-        let misalign = config.danger_skip_epoch_freeze && threads > 1;
-        for &ti in &order {
-            let arity = program.clauses[tasks[ti as usize].clause].head.args.len();
-            settle_headbuf(&mut bufs[ti as usize], arity, store, misalign);
-        }
-    }
-
-    // Candidate collection: per head relation, in merge order. Relations
-    // appear in first-candidate order; within one, candidates are in merge
-    // (task-ordinal) order, which is what makes the shard verdicts and the
-    // apply walk see the same sequence.
-    let mut rel_of: FxHashMap<u32, usize> = FxHashMap::default();
-    let mut groups: Vec<RelCands> = Vec::new();
-    for &ti in &order {
-        let buf = &bufs[ti as usize];
-        if buf.hashes.is_empty() {
-            continue;
-        }
-        let pred = program.clauses[tasks[ti as usize].clause].head.pred;
-        let arity = program.clauses[tasks[ti as usize].clause].head.args.len();
-        let gi = *rel_of.entry(pred.0).or_insert_with(|| {
-            groups.push(RelCands {
-                pred,
-                cands: Vec::new(),
-                hashes: Vec::new(),
-                verdicts: Vec::new(),
-            });
-            groups.len() - 1
-        });
-        let g = &mut groups[gi];
-        for (rank, &h) in buf.hashes.iter().enumerate() {
-            g.cands.push((ti, (rank * arity) as u32));
-            g.hashes.push(h);
-        }
-    }
-
-    // Sharded dedupe, one relation at a time. The dispatch threshold is
-    // per relation: the same dedupe decisions come out of the sequential
-    // and the sharded path (pinned by the interp unit tests), so this is
-    // purely a cost decision.
-    for g in &mut groups {
-        let cands = &g.cands;
-        let tuple_of = |c: u32| -> &[SeqId] {
-            let (ti, at) = cands[c as usize];
-            let arity = program.clauses[tasks[ti as usize].clause].head.args.len();
-            &bufs[ti as usize].tuples[at as usize..at as usize + arity]
-        };
-        let workers =
-            if threads > 1 && (g.cands.len() >= PAR_THRESHOLD || config.danger_force_parallel) {
-                threads
-            } else {
-                1
-            };
-        g.verdicts = facts
-            .relation_mut(g.pred)
-            .dedupe_candidates(&g.hashes, tuple_of, workers);
-    }
-
-    // Apply walk: in merge order, replay each task's per-recipe outcomes
-    // with exactly the sequential engine's statistics, error, and budget
-    // semantics. `cursors[gi]` tracks how far into each relation's
-    // candidate list the walk has come — candidate order and walk order
-    // agree by construction.
-    let mut cursors: Vec<usize> = vec![0; groups.len()];
     let mut added = 0usize;
-    let mut outcome: Result<(), EvalError> = Ok(());
-
-    'walk: for &ti in &order {
-        let buf = &bufs[ti as usize];
-        let clause = &program.clauses[tasks[ti as usize].clause];
+    let mut tuple: Vec<SeqId> = Vec::new();
+    for (task, buf) in tasks.iter().zip(bufs) {
+        let clause = &program.clauses[task.clause];
         stats.derivations += buf.count as u64;
-        let gi = rel_of.get(&clause.head.pred.0).copied();
-        let arity = clause.head.args.len();
-        let mut rank = 0usize;
-        for (r, &st) in buf.status.iter().enumerate() {
-            if let Some(&(calls, steps)) = buf.tstats.get(r) {
-                stats.transducer_calls += calls;
-                stats.transducer_steps += steps;
+        for r in 0..buf.count {
+            let head = eval_recipe_head(
+                clause, buf, r, goals, store, facts, domain, registry, config, stats, &mut tuple,
+            )?;
+            if !head || !facts.insert(clause.head.pred, tuple.as_slice().into()) {
+                continue;
             }
-            match st {
-                REC_UNDEF => {} // θ undefined at the clause: no fact.
-                REC_TUPLE => {
-                    let gi = gi.expect("defined recipe implies a candidate group");
-                    let g = &groups[gi];
-                    let c = cursors[gi];
-                    cursors[gi] += 1;
-                    let slot = g.verdicts[c];
-                    if slot != CAND_DUP {
-                        let tuple: Box<[SeqId]> =
-                            buf.tuples[rank * arity..(rank + 1) * arity].into();
-                        facts.commit_candidate(clause.head.pred, tuple, g.hashes[c], slot);
-                        added += 1;
-                        // The just-committed tuple is the relation's last;
-                        // read it back for domain closure instead of
-                        // cloning it again.
-                        let rel = facts.relation(clause.head.pred);
-                        let inserted = rel.tuple(rel.len() - 1);
-                        for &id in inserted {
-                            domain.insert_closed(store, id);
-                        }
-                        if let Err(e) = check_budgets(facts, domain, config, stats) {
-                            outcome = Err(e);
-                            break 'walk;
-                        }
-                    }
-                    rank += 1;
-                }
-                _ => {
-                    debug_assert_eq!(st, REC_ERR);
-                    let err = buf.error.clone().expect("REC_ERR carries its cause");
-                    outcome = Err(surface_head_error(err, facts, domain, stats));
-                    break 'walk;
-                }
+            added += 1;
+            for &id in &tuple {
+                domain.insert_closed(store, id);
             }
+            check_budgets(facts, domain, config, stats)?;
         }
     }
-
-    if outcome.is_err() {
-        // Roll back every admitted-but-unapplied provisional slot so the
-        // relations' indexes only describe committed tuples. Tombstoning
-        // (not emptying) keeps the probe chains of later entries intact.
-        for (gi, g) in groups.iter().enumerate() {
-            let rel = facts.relation_mut(g.pred);
-            for c in cursors[gi]..g.cands.len() {
-                if g.verdicts[c] != CAND_DUP {
-                    rel.abandon_candidate(g.hashes[c], g.verdicts[c]);
-                }
-            }
-        }
-    }
-    outcome.map(|()| added)
+    Ok(added)
 }
 
 /// Head instances derived by one T-operator application, as `(PredId,
@@ -1970,114 +1700,56 @@ pub fn tp_step(
     Ok(out)
 }
 
-/// Does a compiled head term contain a transducer call? Decides whether a
-/// task's [`HeadBuf`] tracks per-recipe transducer statistics.
-fn cseq_has_transducer(t: &CSeq) -> bool {
-    match t {
-        CSeq::Const(_) | CSeq::Var(_) | CSeq::Indexed { .. } => false,
-        CSeq::Concat(x, y) => cseq_has_transducer(x) || cseq_has_transducer(y),
-        CSeq::Transducer { .. } => true,
-    }
-}
-
-/// Evaluate every recipe of one task's clause head against the epoch-frozen
-/// store. Read-only on the store: fresh values go into the returned
-/// buffer's [`PendingInterns`] batch under provisional ids. Reproduces the
-/// sequential engine's evaluation order exactly — head arguments left to
-/// right, per-argument `max_seq_len` check, stop-at-first-error — so the
-/// merge phase can replay its statistics and errors bit-for-bit.
-fn eval_task_heads(
-    clause: &crate::compile::CompiledClause,
+/// Evaluate `clause`'s head under recipe `r` of `buf` into `tuple`,
+/// interning fresh values into `store`. Head arguments are evaluated left
+/// to right, each checked against `max_seq_len`, and the first error
+/// stops the evaluation; a `max_seq_len` overrun raises the `SeqLen`
+/// budget error with `stats` finalized against `facts` and `domain`.
+/// Transducer calls and steps accumulate into `stats` as they run.
+/// Returns `Ok(false)` when some head term is undefined (Section 3.2: no
+/// fact, no error) or when a goal recipe's instance differs from its goal
+/// — a goal task admits only its goal; the other head instances of the
+/// surviving facts are in the interpretation already or are goals of
+/// their own.
+#[allow(clippy::too_many_arguments)]
+fn eval_recipe_head(
+    clause: &CompiledClause,
     buf: &RecipeBuf,
+    r: usize,
     goals: &[Box<[SeqId]>],
-    store: &SeqStore,
+    store: &mut SeqStore,
+    facts: &FactStore,
+    domain: &ExtendedDomain,
     registry: &TransducerRegistry,
     config: &EvalConfig,
-) -> HeadBuf {
-    let mut out = HeadBuf {
-        count: buf.count,
-        ..HeadBuf::default()
-    };
-    let track_tstats = clause.head.args.iter().any(cseq_has_transducer);
-    let arity = clause.head.args.len();
-    let mut tuple: Vec<SeqId> = Vec::with_capacity(arity);
-    for r in 0..buf.count {
-        let seqs = &buf.seqs[r * clause.n_seq..(r + 1) * clause.n_seq];
-        let idxs = &buf.idxs[r * clause.n_idx..(r + 1) * clause.n_idx];
-        tuple.clear();
-        let mut calls = 0u64;
-        let mut steps = 0u64;
-        let mut verdict = REC_TUPLE;
-        for arg in &clause.head.args {
-            match eval_head_frozen(
-                arg,
-                seqs,
-                idxs,
-                store,
-                &mut out.pending,
-                registry,
-                config,
-                &mut calls,
-                &mut steps,
-            ) {
-                Ok(Some(id)) => {
-                    let len = out.pending.len_of(store, id);
-                    if len > config.max_seq_len {
-                        verdict = REC_ERR;
-                        out.error = Some(HeadError::SeqLen(len));
-                        break;
-                    }
-                    tuple.push(id);
-                }
-                Ok(None) => {
-                    verdict = REC_UNDEF;
-                    break;
-                }
-                Err(e) => {
-                    verdict = REC_ERR;
-                    out.error = Some(e);
-                    break;
-                }
-            }
+    stats: &mut EvalStats,
+    tuple: &mut Vec<SeqId>,
+) -> Result<bool, EvalError> {
+    let seqs = &buf.seqs[r * clause.n_seq..(r + 1) * clause.n_seq];
+    let idxs = &buf.idxs[r * clause.n_idx..(r + 1) * clause.n_idx];
+    tuple.clear();
+    for arg in &clause.head.args {
+        let Some(id) = eval_head(arg, seqs, idxs, store, registry, config, stats)? else {
+            return Ok(false);
+        };
+        let len = store.len_of(id);
+        if len > config.max_seq_len {
+            finalize_stats(stats, facts, domain);
+            stats.max_seq_len = stats.max_seq_len.max(len);
+            return Err(EvalError::Budget {
+                kind: BudgetKind::SeqLen,
+                stats: *stats,
+            });
         }
-        if verdict == REC_TUPLE && buf.goal_of.get(r).is_some_and(|&g| *goals[g] != tuple[..]) {
-            // A goal task admits only its goal; other head instances of
-            // the surviving facts are in the interpretation already or are
-            // goals of their own.
-            verdict = REC_UNDEF;
-        }
-        if track_tstats {
-            out.tstats.push((calls, steps));
-        }
-        out.status.push(verdict);
-        match verdict {
-            REC_ERR => return out, // stop the task at its first error
-            REC_TUPLE => {
-                if tuple.iter().any(|id| id.is_provisional()) {
-                    out.needs_patch.push(out.hashes.len() as u32);
-                    out.hashes.push(0); // patched during intern-merge
-                } else {
-                    out.hashes.push(hash_tuple(&tuple));
-                }
-                out.tuples.extend_from_slice(&tuple);
-            }
-            _ => {}
-        }
+        tuple.push(id);
     }
-    if !buf.goal_of.is_empty() {
-        // Admitted tuples equal their goals, which are interned: fresh
-        // values only came from rejected instances and need no interning.
-        debug_assert!(out.needs_patch.is_empty());
-        out.pending = PendingInterns::default();
-    }
-    out
+    Ok(buf.goal_of.get(r).is_none_or(|&g| *goals[g] == tuple[..]))
 }
 
-/// Match one task and evaluate its heads sequentially, settling its
-/// pending interns at once (the one-task intern-merge), and hand each
+/// Match one task and evaluate its heads sequentially, handing each
 /// defined head tuple to `emit` in recipe order. Recipes and transducer
 /// work accumulate into `stats`; a head-evaluation error surfaces exactly
-/// as the round loop raises it. The sequential path shared by DRed's
+/// as the round's commit raises it. The sequential path shared by DRed's
 /// over-delete loop and [`tp_step`].
 #[allow(clippy::too_many_arguments)]
 fn eval_task_settled(
@@ -2108,78 +1780,25 @@ fn eval_task_settled(
         scratch,
     );
     stats.derivations += scratch.count as u64;
-    let mut hb = eval_task_heads(clause, scratch, &[], store, registry, config);
-    let arity = clause.head.args.len();
-    settle_headbuf(&mut hb, arity, store, false);
-    let mut rank = 0usize;
-    for (r, &st) in hb.status.iter().enumerate() {
-        if let Some(&(calls, steps)) = hb.tstats.get(r) {
-            stats.transducer_calls += calls;
-            stats.transducer_steps += steps;
-        }
-        match st {
-            REC_UNDEF => {}
-            REC_TUPLE => {
-                emit(&hb.tuples[rank * arity..(rank + 1) * arity]);
-                rank += 1;
-            }
-            _ => {
-                debug_assert_eq!(st, REC_ERR);
-                let err = hb.error.clone().expect("REC_ERR carries its cause");
-                return Err(surface_head_error(err, facts, domain, stats));
-            }
+    let mut tuple: Vec<SeqId> = Vec::new();
+    for r in 0..scratch.count {
+        if eval_recipe_head(
+            clause,
+            scratch,
+            r,
+            &[],
+            store,
+            facts,
+            domain,
+            registry,
+            config,
+            stats,
+            &mut tuple,
+        )? {
+            emit(&tuple);
         }
     }
     Ok(())
-}
-
-/// Apply one task's pending interns to the store and patch its tuples'
-/// provisional ids to the resolved handles, re-hashing the patched tuples
-/// — one task's step of the intern-merge stage. `misalign` is the
-/// skipped-epoch-freeze mutant: rotate the resolution table by one.
-fn settle_headbuf(buf: &mut HeadBuf, arity: usize, store: &mut SeqStore, misalign: bool) {
-    if buf.pending.is_empty() {
-        return;
-    }
-    let mut resolved = buf.pending.apply(store);
-    if misalign && resolved.len() >= 2 {
-        resolved.rotate_left(1); // mutant: misaligned resolution table
-    }
-    for &rank in &buf.needs_patch {
-        let at = rank as usize * arity;
-        let tuple = &mut buf.tuples[at..at + arity];
-        for id in tuple.iter_mut() {
-            if id.is_provisional() {
-                *id = resolved[id.provisional_index()];
-            }
-        }
-        buf.hashes[rank as usize] = hash_tuple(tuple);
-    }
-}
-
-/// Convert a captured [`HeadError`] into the [`EvalError`] the sequential
-/// engine would have raised at the same point, with the same statistics
-/// treatment (SeqLen budget errors finalize stats against the current
-/// interpretation and latch the offending length; transducer errors leave
-/// stats as they are).
-fn surface_head_error(
-    err: HeadError,
-    facts: &FactStore,
-    domain: &ExtendedDomain,
-    stats: &mut EvalStats,
-) -> EvalError {
-    match err {
-        HeadError::SeqLen(len) => {
-            finalize_stats(stats, facts, domain);
-            stats.max_seq_len = stats.max_seq_len.max(len);
-            EvalError::Budget {
-                kind: BudgetKind::SeqLen,
-                stats: *stats,
-            }
-        }
-        HeadError::UnknownTransducer(name) => EvalError::UnknownTransducer(name),
-        HeadError::Transducer { name, error } => EvalError::Transducer { name, error },
-    }
 }
 
 fn finalize_stats(stats: &mut EvalStats, facts: &FactStore, domain: &ExtendedDomain) {
@@ -2229,114 +1848,69 @@ fn commit_idx(t: &CIdx, idxs: &[i64], end_val: i64) -> Option<i64> {
 }
 
 /// Evaluate a (possibly constructive) head term under a recipe's total
-/// substitution against the **epoch-frozen** store. This is the read-only
-/// counterpart of the old in-place committing evaluator: already-interned
-/// values (constants, matched bindings, window-closed subsequences, known
-/// concatenations) resolve by lookup, and genuinely fresh values go into
-/// `pending` under provisional ids — value-for-value identical to what the
-/// mutating evaluator would have interned, just deferred to the merge.
-/// `Ok(None)` means the term is undefined (no fact derived, Section 3.2).
-/// Transducer call/step deltas accumulate into `calls`/`steps` with the
-/// sequential engine's exact order: the registry is consulted before
-/// arguments are evaluated, a call is counted before the machine runs, and
-/// steps only count on success.
-#[allow(clippy::too_many_arguments)]
-fn eval_head_frozen(
+/// substitution, interning the value it denotes: constants and matched
+/// bindings are already interned, windows resolve through
+/// [`SeqStore::subseq`], concatenations through [`SeqStore::concat`], and
+/// transducer outputs are interned as they come. `Ok(None)` means the term
+/// is undefined (no fact derived, Section 3.2). The registry is consulted
+/// before the arguments are evaluated, a transducer call is counted before
+/// the machine runs, and its steps count only on success.
+fn eval_head(
     t: &CSeq,
     seqs: &[SeqId],
     idxs: &[i64],
-    store: &SeqStore,
-    pending: &mut PendingInterns,
+    store: &mut SeqStore,
     registry: &TransducerRegistry,
     config: &EvalConfig,
-    calls: &mut u64,
-    steps: &mut u64,
-) -> Result<Option<SeqId>, HeadError> {
+    stats: &mut EvalStats,
+) -> Result<Option<SeqId>, EvalError> {
     match t {
         CSeq::Const(id) => Ok(Some(*id)),
         CSeq::Var(v) => Ok(Some(seqs[*v as usize])),
         CSeq::Indexed { base, lo, hi } => {
-            // Bases are syntactically constants or variables, so `base_id`
-            // is always a real (frozen-store) id: provisional values only
-            // arise from concatenation and transducer output.
             let base_id = match base {
                 CBase::Const(id) => *id,
                 CBase::Var(v) => seqs[*v as usize],
             };
-            debug_assert!(!base_id.is_provisional());
             let end_val = store.len_of(base_id) as i64;
             let (Some(n1), Some(n2)) =
                 (commit_idx(lo, idxs, end_val), commit_idx(hi, idxs, end_val))
             else {
                 return Ok(None);
             };
-            let Some((start, end)) = seqlog_sequence::index_window(store.len_of(base_id), n1, n2)
-            else {
-                return Ok(None);
-            };
-            Ok(Some(match store.lookup_range(base_id, start, end) {
-                Some(id) => id,
-                None => {
-                    let window: Vec<Sym> = store.get(base_id)[start..end].to_vec();
-                    pending.resolve_vec(store, window)
-                }
-            }))
+            Ok(store.subseq(base_id, n1, n2))
         }
         CSeq::Concat(x, y) => {
-            let Some(xv) = eval_head_frozen(
-                x, seqs, idxs, store, pending, registry, config, calls, steps,
-            )?
-            else {
+            let Some(xv) = eval_head(x, seqs, idxs, store, registry, config, stats)? else {
                 return Ok(None);
             };
-            let Some(yv) = eval_head_frozen(
-                y, seqs, idxs, store, pending, registry, config, calls, steps,
-            )?
-            else {
+            let Some(yv) = eval_head(y, seqs, idxs, store, registry, config, stats)? else {
                 return Ok(None);
             };
-            // ε is the concatenation identity — same fast path (and same
-            // resulting id) as `SeqStore::concat`.
-            if pending.len_of(store, xv) == 0 {
-                return Ok(Some(yv));
-            }
-            if pending.len_of(store, yv) == 0 {
-                return Ok(Some(xv));
-            }
-            let mut cat: Vec<Sym> =
-                Vec::with_capacity(pending.len_of(store, xv) + pending.len_of(store, yv));
-            cat.extend_from_slice(pending.syms_of(store, xv));
-            cat.extend_from_slice(pending.syms_of(store, yv));
-            Ok(Some(pending.resolve_vec(store, cat)))
+            Ok(Some(store.concat(xv, yv)))
         }
         CSeq::Transducer { name, args } => {
             let machine = registry
                 .get(name)
-                .ok_or_else(|| HeadError::UnknownTransducer(name.clone()))?;
+                .ok_or_else(|| EvalError::UnknownTransducer(name.clone()))?;
             let mut inputs: Vec<SeqId> = Vec::with_capacity(args.len());
             for a in args {
-                match eval_head_frozen(
-                    a, seqs, idxs, store, pending, registry, config, calls, steps,
-                )? {
+                match eval_head(a, seqs, idxs, store, registry, config, stats)? {
                     Some(v) => inputs.push(v),
                     None => return Ok(None),
                 }
             }
-            let tapes: Vec<Vec<Sym>> = inputs
-                .iter()
-                .map(|&id| pending.syms_of(store, id).to_vec())
-                .collect();
-            let tape_refs: Vec<&[Sym]> = tapes.iter().map(Vec::as_slice).collect();
+            let tapes: Vec<&[Sym]> = inputs.iter().map(|&id| store.get(id)).collect();
             let mut exec_stats = ExecStats::default();
-            *calls += 1;
+            stats.transducer_calls += 1;
             let output =
-                seqlog_transducer::run(machine, &tape_refs, &config.exec_limits, &mut exec_stats)
-                    .map_err(|e| HeadError::Transducer {
-                    name: name.clone(),
-                    error: e.to_string(),
-                })?;
-            *steps += exec_stats.steps;
-            Ok(Some(pending.resolve_vec(store, output)))
+                seqlog_transducer::run(machine, &tapes, &config.exec_limits, &mut exec_stats)
+                    .map_err(|e| EvalError::Transducer {
+                        name: name.clone(),
+                        error: e.to_string(),
+                    })?;
+            stats.transducer_steps += exec_stats.steps;
+            Ok(Some(store.intern_vec(output)))
         }
     }
 }

@@ -294,11 +294,13 @@ pub struct DemandAnswer {
     /// Finalized statistics of the scratch evaluation (all-zero when the
     /// query answered without evaluating).
     pub stats: EvalStats,
-    /// True when the magic scratch fixpoint ran; false when the query
-    /// probed the session's own relation instead — the goal is
-    /// asserted-only or unknown, or the session
-    /// [`is_settled`](EngineSession::is_settled) and the options are the
-    /// defaults.
+    /// True when the query took the scratch route: the magic scratch
+    /// fixpoint ran, or — on a program with no constructive clause — it
+    /// was skipped because a bound value was never interned, so nothing
+    /// can match (`stats` all-zero). False when the query probed the
+    /// session's own relation instead — the goal is asserted-only or
+    /// unknown, or the session [`is_settled`](EngineSession::is_settled)
+    /// and the options are the defaults.
     pub evaluated: bool,
 }
 
@@ -1346,11 +1348,15 @@ impl EngineSession {
     ///   included — returns without poisoning the session. A selective
     ///   goal evaluates a small cone; the fallback gate in
     ///   [`crate::analysis::magic`] degrades to the batch fixpoint when
-    ///   domain-sensitive strata make demand restriction unsound.
+    ///   domain-sensitive strata make demand restriction unsound. When
+    ///   the program has no constructive clause, bound values are only
+    ///   looked up here too: its fixpoint holds interned values only, so
+    ///   an unseen value answers empty without running the scratch.
     ///
-    /// `&mut self` because on the scratch route bound values and derived
-    /// sequences intern into the session's append-only store (a
-    /// constructive program can derive a value nothing interned yet);
+    /// `&mut self` because on the scratch route derived sequences — and,
+    /// for a constructive program, bound values — intern into the
+    /// session's append-only store (a constructive program can derive a
+    /// value nothing interned yet);
     /// like [`check_model`](EngineSession::check_model), this never
     /// changes the session's interpretation. Magic-transformed programs
     /// are cached per `(goal, bound-mask)`, so repeated point queries
@@ -1403,7 +1409,29 @@ impl EngineSession {
                 evaluated: false,
             });
         };
-        let bound = intern_pattern(pattern, &mut self.alphabet, &mut self.store);
+        let bound = if self.program.clauses.iter().any(|c| c.constructive) {
+            intern_pattern(pattern, &mut self.alphabet, &mut self.store)
+        } else {
+            // Without a constructive clause the fixpoint holds only
+            // interned, window-closed values, so a bound value never
+            // interned matches nothing. A hit that is no domain member
+            // (a program constant, or a value interned but never closed)
+            // is window-closed like `intern_pattern` does, since the
+            // matcher may take its windows; members are closed already.
+            let Some(bound) = self.lookup_pattern(pattern) else {
+                return Ok(DemandAnswer {
+                    answers: Vec::new(),
+                    stats: EvalStats::default(),
+                    evaluated: true,
+                });
+            };
+            for &(_, id) in &bound {
+                if !self.fx.domain().contains(id) {
+                    self.store.close_windows(id);
+                }
+            }
+            bound
+        };
         let adornment = Bind::adornment(pattern);
         let mask: Vec<bool> = pattern
             .iter()
@@ -1623,7 +1651,8 @@ fn bound_values<'p>(pattern: &'p [Bind<'_>]) -> impl Iterator<Item = (usize, &'p
 /// the query API; window closure mirrors the treatment of program body
 /// constants (a guard-bound variable may serve as an indexed base). It
 /// costs O(n³) symbols for an n-symbol value (every window is stored as
-/// its own sequence), which is why the settled route only looks values up.
+/// its own sequence), which is why only a constructive program's scratch
+/// route takes it; every other route only looks values up.
 fn intern_pattern(
     pattern: &[Bind<'_>],
     alphabet: &mut Alphabet,
@@ -1744,6 +1773,27 @@ mod tests {
         let r = probe(&mut s, "anc", "ab");
         assert_eq!(r.answers, vec![vec!["ab".to_string(), "b".to_string()]]);
         assert!(!r.evaluated);
+    }
+
+    #[test]
+    fn unsettled_query_of_an_unseen_key_interns_nothing() {
+        // No constructive clause: the scratch route looks bound values up
+        // instead of interning and window-closing them.
+        let mut s = settled_session();
+        s.assert_fact("edge", &["b", "c"]).unwrap();
+        assert!(!s.is_settled());
+        let (seqs, syms) = (s.store.count(), s.alphabet.len());
+        let key = "ab".repeat(150);
+        for pred in ["anc", "gd"] {
+            let r = probe(&mut s, pred, &key);
+            assert!(r.answers.is_empty() && r.evaluated, "{pred}: {r:?}");
+            assert_eq!(r.stats, EvalStats::default());
+        }
+        assert_eq!((s.store.count(), s.alphabet.len()), (seqs, syms));
+        // A known key still runs the scratch over the pending assert.
+        let r = probe(&mut s, "anc", "b");
+        assert_eq!(r.answers, vec![vec!["b".to_string(), "c".to_string()]]);
+        assert!(r.evaluated);
     }
 
     #[test]

@@ -419,7 +419,7 @@ fn wide_round_landing_exactly_on_the_facts_budget_succeeds_at_every_thread_count
     // must succeed — the incremental check fires only when the total
     // *exceeds* the budget — and a budget of 71 must fail having admitted
     // exactly one fact past it (stats.facts == 72), identically on the
-    // inline path, the threaded path, and the forced sharded-commit path.
+    // inline path, the threaded path, and the forced multi-worker path.
     let mut e = Engine::new();
     let p = e.parse_program("pair(X, Y) :- s(X), s(Y).").unwrap();
     let mut db = Database::new();

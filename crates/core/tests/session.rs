@@ -725,7 +725,7 @@ fn batch_asserts_on_poisoned_sessions_apply_nothing() {
 
 /// Every dispatch configuration the sharded-commit matrix cares about:
 /// thread counts 1/2/4/8 crossed with the forced-parallel hook (which
-/// pushes even sub-threshold rounds through the sharded path).
+/// pushes even sub-threshold rounds through the multi-worker match).
 fn dispatch_matrix() -> Vec<EvalConfig> {
     let mut out = Vec::new();
     for threads in [1usize, 2, 4, 8] {
@@ -745,7 +745,7 @@ fn threshold_straddling_runs_are_bit_for_bit_across_dispatch_paths() {
     // Two runs of a quadratic join, sized so the first (virgin) run's
     // full-round estimate sits far below PAR_THRESHOLD while the second
     // run's delta round estimates far above it: within one session some
-    // rounds dispatch inline and others through the sharded commit. Both
+    // rounds dispatch inline and others through the multi-worker match. Both
     // paths must produce identical insertion order and EvalStats, so the
     // whole matrix is compared bit-for-bit against the sequential session.
     let src = "pair(X, Y) :- w(X), w(Y).";
@@ -775,10 +775,10 @@ fn threshold_straddling_runs_are_bit_for_bit_across_dispatch_paths() {
 
 #[test]
 fn parallel_asserts_into_a_compacted_relation_are_bit_for_bit() {
-    // Adversarial shard-probe scenario: settle a quadratic join, retract
+    // Adversarial index-probe scenario: settle a quadratic join, retract
     // scattered base words (tombstoning mid-relation dedupe slots), force
     // a compaction, then drive a wide forced-parallel round straight into
-    // the rebuilt shards. The result must equal a fresh batch over the
+    // the rebuilt index. The result must equal a fresh batch over the
     // survivors and stay bit-for-bit identical across the dispatch matrix.
     let src = "pair(X, Y) :- w(X), w(Y).";
     let retracted = ["a3", "a17", "a29"];
@@ -789,7 +789,7 @@ fn parallel_asserts_into_a_compacted_relation_are_bit_for_bit() {
         }
         s.run().unwrap();
         // Each effective retraction runs Delete-and-Rederive, which removes
-        // tombstoned mid-relation slots and compacts the rebuilt shards.
+        // tombstoned mid-relation slots and rebuilds the index.
         for w in retracted {
             assert!(s.retract_fact("w", &[w]).unwrap());
         }

@@ -25,4 +25,4 @@ pub mod store;
 pub use alphabet::{Alphabet, Sym};
 pub use domain::ExtendedDomain;
 pub use fx::{FxHashMap, FxHashSet, FxHasher};
-pub use store::{index_window, PendingInterns, SeqId, SeqStore, PROVISIONAL_BIT};
+pub use store::{index_window, SeqId, SeqStore};

@@ -16,36 +16,11 @@ use std::sync::Arc;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SeqId(pub u32);
 
-/// Tag bit of a *provisional* [`SeqId`] handed out by [`PendingInterns`].
-///
-/// The epoch-frozen interning protocol lets evaluation workers resolve
-/// sequence values against a shared `&SeqStore` while collecting genuinely
-/// new values in a task-local [`PendingInterns`]. Those pending values get
-/// ids with this bit set; [`PendingInterns::apply`] later interns them into
-/// the real store (in a deterministic order) and reports the mapping from
-/// provisional to real ids. Real ids never carry this bit —
-/// [`SeqStore`] refuses to grow past `2^31` sequences.
-pub const PROVISIONAL_BIT: u32 = 1 << 31;
-
 impl SeqId {
     /// The raw interner index.
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
-    }
-
-    /// Whether this id is a provisional handle from [`PendingInterns`]
-    /// rather than a real [`SeqStore`] id.
-    #[inline]
-    pub fn is_provisional(self) -> bool {
-        self.0 & PROVISIONAL_BIT != 0
-    }
-
-    /// The index into the issuing [`PendingInterns`] of a provisional id.
-    #[inline]
-    pub fn provisional_index(self) -> usize {
-        debug_assert!(self.is_provisional());
-        (self.0 & !PROVISIONAL_BIT) as usize
     }
 }
 
@@ -123,10 +98,6 @@ impl SeqStore {
     }
 
     fn insert_arc(&mut self, arc: Arc<[Sym]>) -> SeqId {
-        assert!(
-            self.seqs.len() < PROVISIONAL_BIT as usize,
-            "sequence store overflow (provisional tag bit)"
-        );
         let id = SeqId(u32::try_from(self.seqs.len()).expect("sequence store overflow"));
         self.total_syms += arc.len();
         self.seqs.push(arc.clone());
@@ -324,96 +295,6 @@ impl fmt::Debug for SeqStore {
     }
 }
 
-/// The batched write side of the epoch-frozen interning protocol.
-///
-/// A round of evaluation freezes the [`SeqStore`] (workers hold `&SeqStore`
-/// only) and gives each task its own `PendingInterns`. Sequence values that
-/// miss the frozen store are deduped task-locally here and addressed by
-/// *provisional* ids ([`PROVISIONAL_BIT`]` | local_index`). After the
-/// parallel phase, [`PendingInterns::apply`] replays each task's pending
-/// values into the real store **in task order**, which makes the final
-/// interner contents independent of the number of worker threads: the value
-/// → id assignment depends only on the task sequence, never on worker
-/// interleaving (cross-task duplicates collapse because `apply` re-probes
-/// the store).
-#[derive(Default, Debug, Clone)]
-pub struct PendingInterns {
-    /// Pending values, in first-encounter order.
-    syms: Vec<Box<[Sym]>>,
-    /// Dedupe map over `syms` (local index values).
-    ids: FxHashMap<Box<[Sym]>, u32>,
-}
-
-impl PendingInterns {
-    /// Whether no value is pending.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.syms.is_empty()
-    }
-
-    /// Number of pending values.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.syms.len()
-    }
-
-    /// Resolve `syms` against the frozen store, falling back to a
-    /// provisional id for a genuinely new value. Idempotent per value.
-    pub fn resolve(&mut self, frozen: &SeqStore, syms: &[Sym]) -> SeqId {
-        if let Some(id) = frozen.lookup(syms) {
-            return id;
-        }
-        if let Some(&local) = self.ids.get(syms) {
-            return SeqId(PROVISIONAL_BIT | local);
-        }
-        self.push_fresh(syms.into())
-    }
-
-    /// Owned-vector variant of [`PendingInterns::resolve`] (avoids one copy
-    /// when the value is fresh).
-    pub fn resolve_vec(&mut self, frozen: &SeqStore, syms: Vec<Sym>) -> SeqId {
-        if let Some(id) = frozen.lookup(&syms) {
-            return id;
-        }
-        if let Some(&local) = self.ids.get(syms.as_slice()) {
-            return SeqId(PROVISIONAL_BIT | local);
-        }
-        self.push_fresh(syms.into_boxed_slice())
-    }
-
-    fn push_fresh(&mut self, boxed: Box<[Sym]>) -> SeqId {
-        let local = u32::try_from(self.syms.len()).expect("pending intern overflow");
-        assert!(local < PROVISIONAL_BIT, "pending intern overflow");
-        self.syms.push(boxed.clone());
-        self.ids.insert(boxed, local);
-        SeqId(PROVISIONAL_BIT | local)
-    }
-
-    /// The symbols behind an id, whether real (resolved via `frozen`) or
-    /// provisional (resolved locally).
-    #[inline]
-    pub fn syms_of<'a>(&'a self, frozen: &'a SeqStore, id: SeqId) -> &'a [Sym] {
-        if id.is_provisional() {
-            &self.syms[id.provisional_index()]
-        } else {
-            frozen.get(id)
-        }
-    }
-
-    /// `len(σ)` for a real or provisional id.
-    #[inline]
-    pub fn len_of(&self, frozen: &SeqStore, id: SeqId) -> usize {
-        self.syms_of(frozen, id).len()
-    }
-
-    /// Intern every pending value into `store` in first-encounter order and
-    /// return the mapping `provisional index → real id`. Values another task
-    /// already applied collapse to the existing id (`intern` is idempotent).
-    pub fn apply(&self, store: &mut SeqStore) -> Vec<SeqId> {
-        self.syms.iter().map(|syms| store.intern(syms)).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -590,52 +471,6 @@ mod tests {
         assert_eq!(st.subseq_lookup(id, 2, 3), Some(None)); // "bc" not interned
         assert_eq!(st.subseq_lookup(id, 0, 2), None); // undefined
         assert_eq!(st.subseq_lookup(id, 1, 4), Some(Some(id))); // full window
-    }
-
-    #[test]
-    fn pending_interns_resolve_hits_frozen_store_first() {
-        let (mut a, mut st, id) = setup("abc");
-        let mut pending = PendingInterns::default();
-        // Already-interned values resolve to the real id, nothing pends.
-        assert_eq!(pending.resolve(&st, &a.seq_of_str("abc")), id);
-        assert!(pending.is_empty());
-        // A fresh value gets a provisional id, deduped on repeat.
-        let p1 = pending.resolve(&st, &a.seq_of_str("zz"));
-        assert!(p1.is_provisional());
-        assert_eq!(p1.provisional_index(), 0);
-        let p2 = pending.resolve_vec(&st, a.seq_of_str("zz"));
-        assert_eq!(p1, p2);
-        assert_eq!(pending.len(), 1);
-        // syms_of / len_of work for both real and provisional ids.
-        assert_eq!(pending.syms_of(&st, id), st.get(id));
-        assert_eq!(pending.len_of(&st, p1), 2);
-        // Applying interns in first-encounter order.
-        let before = st.count();
-        let resolved = pending.apply(&mut st);
-        assert_eq!(resolved.len(), 1);
-        assert_eq!(st.count(), before + 1);
-        assert_eq!(st.lookup(&a.seq_of_str("zz")), Some(resolved[0]));
-        assert!(!resolved[0].is_provisional());
-    }
-
-    #[test]
-    fn pending_interns_apply_collapses_cross_task_duplicates() {
-        let (mut a, mut st, _) = setup("abc");
-        // Two "tasks" independently pend the same fresh value plus one
-        // distinct value each; applying in task order must dedupe the shared
-        // value and keep first-encounter order deterministic.
-        let mut t1 = PendingInterns::default();
-        let mut t2 = PendingInterns::default();
-        let s1 = t1.resolve(&st, &a.seq_of_str("xy"));
-        let _ = t1.resolve(&st, &a.seq_of_str("only1"));
-        let s2 = t2.resolve(&st, &a.seq_of_str("xy"));
-        assert_eq!(s1.provisional_index(), 0);
-        assert_eq!(s2.provisional_index(), 0);
-        let r1 = t1.apply(&mut st);
-        let r2 = t2.apply(&mut st);
-        assert_eq!(r1[0], r2[0], "shared value collapses to one real id");
-        assert_eq!(st.lookup(&a.seq_of_str("xy")), Some(r1[0]));
-        assert_eq!(st.lookup(&a.seq_of_str("only1")), Some(r1[1]));
     }
 
     #[test]

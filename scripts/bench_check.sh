@@ -4,8 +4,8 @@
 # BENCH_<N>.json at the repo root, so successive PRs can track the perf
 # trajectory. Includes the parallel_scaling bench (the same workloads swept
 # over EvalConfig::threads ∈ {1,2,4,8}, including the delta1M case: a
-# settled session resumed with a ~1.1M-fact semi-naive delta committed
-# through the sharded commit), the incremental_update bench
+# settled session resumed with a ~1.1M-fact semi-naive delta, matched on
+# several workers and committed sequentially), the incremental_update bench
 # (small session delta on a ≥5k-fact settled base vs batch re-evaluation),
 # and the retract_update bench (one-fact retraction on a ≥8k-fact settled
 # base, maintained by Delete-and-Rederive, vs batch re-evaluation of the

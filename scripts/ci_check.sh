@@ -8,8 +8,8 @@
 # insert/release cascade tests) and the crash-injection recovery suite (durable sessions
 # killed at fuzzed WAL offsets, recovered, and compared bit-for-bit
 # against a fresh replay), the explicit sharded-commit threads matrix
-# (every generated case forced through the sharded dedupe + task-order
-# merge at threads 1/2/4/8 plus the commit-phase mutation tests), the
+# (every generated case forced through the multi-worker match and the
+# task-order sequential commit at threads 1/2/4/8), the
 # demand-driven query oracle (query_bound ≡ filter of the batch fixpoint
 # across every adornment of arity ≤ 3 on three session arms — unsettled,
 # settled, and mid-stream with the last batch pending — with the settled
@@ -64,12 +64,11 @@ echo "    skip-truncation, skip-checksum, stale-watermarks — being caught)"
 cargo test -q --test fuzz_recovery
 
 echo "==> sharded-commit threads matrix (explicit): every generated case"
-echo "    forced through the parallel sharded commit at threads 1/2/4/8 and"
-echo "    compared bit-for-bit against the sequential reference — assert-only"
-echo "    batches, retraction interleavings, and crash-recovery replays —"
-echo "    plus the commit-phase mutation tests (reversed shard-merge order,"
-echo "    skipped epoch freeze) being caught"
-cargo test -q --test fuzz_differential -- sharded_commit mutant_
+echo "    forced through the multi-worker match at threads 1/2/4/8, its"
+echo "    buffers committed sequentially in task order, and compared"
+echo "    bit-for-bit against the single-worker reference — assert-only"
+echo "    batches, retraction interleavings, and crash-recovery replays"
+cargo test -q --test fuzz_differential -- sharded_commit
 cargo test -q --test fuzz_recovery sharded_commit
 
 echo "==> cargo test -q --test fuzz_demand (demand-driven query oracle:"

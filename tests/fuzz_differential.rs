@@ -29,19 +29,16 @@
 //! fact takes its sequences' windows (and the integers they pinned) out of
 //! every domain enumeration — are guaranteed coverage.
 //!
-//! The **sharded-commit matrix**: generated cases are small, so the plain
-//! thread-count sweep above exercises the multi-worker code only through
-//! its dispatch decision (rounds under the parallelism threshold run
-//! inline). The `sharded_` properties force the parallel dispatch path —
-//! multi-worker match + frozen head evaluation, sharded dedupe, and the
-//! deterministic merge — for every case at threads 1/2/4/8 and demand the
-//! same bit-for-bit agreement, on the batch, incremental, and retraction
-//! routes. `scripts/ci_check.sh` runs this matrix as an explicit step.
-//!
-//! The harness itself is mutation-tested at the bottom of this file: an
-//! engine that merges task buffers in the wrong order, or misaligns a
-//! task's provisional-intern resolution table (the "skipped epoch freeze"
-//! bug), must be caught by these oracles.
+//! The **sharded-commit matrix** (the name predates the two-phase
+//! rounds): generated cases are small, so the plain thread-count sweep
+//! above exercises the multi-worker code only through its dispatch
+//! decision (rounds under the parallelism threshold run inline). The
+//! `sharded_` properties force the multi-worker match for every case at
+//! threads 1/2/4/8 and demand the same bit-for-bit agreement with the
+//! single-worker reference, on the batch, incremental, and retraction
+//! routes — so a commit that consumed the match buffers in worker
+//! completion order instead of task order would be caught here.
+//! `scripts/ci_check.sh` runs this matrix as an explicit step.
 //!
 //! The generator is deterministic per test name (the shim's `TestRng`), so
 //! the seed is pinned: a CI failure reproduces locally by running the same
@@ -51,15 +48,15 @@ use proptest::prelude::*;
 use seqlog_testkit::interleaved_outcome;
 use seqlog_testkit::{
     batch_outcome, cases, incremental_outcome, interleaved_cases, interleaved_cases_with_gd,
-    surviving_batch_outcome, FuzzCase, Outcome,
+    surviving_batch_outcome, Outcome,
 };
 use sequence_datalog::core::{EvalConfig, Strategy as EvalStrategy};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-/// A config that forces the parallel dispatch path (multi-worker match +
-/// sharded commit) regardless of round size — the only way small generated
-/// cases reach the multi-worker machinery at all.
+/// A config that forces the multi-worker match regardless of round size —
+/// the only way small generated cases reach the multi-worker machinery at
+/// all.
 fn sharded(threads: usize) -> EvalConfig {
     EvalConfig {
         threads,
@@ -305,91 +302,4 @@ proptest! {
             case
         );
     }
-}
-
-// ---------------------------------------------------------------------------
-// Harness mutation tests: a wrong merge must be caught by the oracles above
-// ---------------------------------------------------------------------------
-
-/// A fixed case where two clauses (= two match tasks per round) feed the
-/// *same* head relation with distinct values: merging their buffers in the
-/// wrong order observably permutes that relation's insertion order.
-fn pinned_merge_case() -> FuzzCase {
-    FuzzCase {
-        program: "t0(X) :- r0(X).\nt0(X) :- r1(X).\n".into(),
-        batches: vec![vec![
-            ("r0".into(), "ab".into()),
-            ("r0".into(), "ba".into()),
-            ("r1".into(), "abc".into()),
-            ("r1".into(), "c".into()),
-        ]],
-    }
-}
-
-/// Mutant 1: merging the round's task buffers in reverse task order (the
-/// "shard merge order" bug). Facts still come out as the same *set*, but
-/// insertion order — part of the bit-for-bit surface the differential
-/// oracle compares — permutes, so the sweep above would catch the bug.
-#[test]
-fn mutant_reversed_merge_order_is_caught() {
-    let case = pinned_merge_case();
-    let reference = batch_outcome(&case, &EvalConfig::with_threads(1));
-    let mutant = |threads: usize| EvalConfig {
-        danger_reverse_merge_order: true,
-        ..sharded(threads)
-    };
-    // The mutant is gated on multi-worker runs (that is the bug shape it
-    // models): single-threaded it is inert...
-    assert_eq!(
-        batch_outcome(&case, &mutant(1)),
-        reference,
-        "the reverse-merge mutant must be inert at threads=1"
-    );
-    // ...and at threads>1 it must diverge from the reference, exactly the
-    // cross-thread-count divergence the sharded matrix rejects.
-    let diverged = batch_outcome(&case, &mutant(2));
-    assert_ne!(
-        diverged, reference,
-        "a reversed merge order must not be bit-for-bit identical — \
-         otherwise the determinism oracle could not catch a merge-order bug"
-    );
-    // Same fixpoint as a set: only the order diverges, which is what makes
-    // insertion-order comparison (not just extents) load-bearing.
-    assert_eq!(
-        diverged.extents_sorted(),
-        reference.extents_sorted(),
-        "the mutant still computes the same least fixpoint"
-    );
-}
-
-/// Mutant 2: misaligning a task's provisional-intern resolution table (the
-/// "skipped epoch freeze" bug): constructive heads' fresh sequences get
-/// patched to the *wrong* new interns, producing wrong fact values — which
-/// the extents comparison catches.
-#[test]
-fn mutant_skipped_epoch_freeze_is_caught() {
-    // One clause whose head creates two distinct fresh sequences per
-    // recipe: the pending batch has >= 2 entries, so a rotated resolution
-    // table swaps their values.
-    let case = FuzzCase {
-        program: "o0(X ++ X, X ++ X ++ X) :- r0(X).\n".into(),
-        batches: vec![vec![("r0".into(), "ab".into())]],
-    };
-    let reference = batch_outcome(&case, &EvalConfig::with_threads(1));
-    let mutant = |threads: usize| EvalConfig {
-        danger_skip_epoch_freeze: true,
-        ..sharded(threads)
-    };
-    assert_eq!(
-        batch_outcome(&case, &mutant(1)),
-        reference,
-        "the epoch-skip mutant must be inert at threads=1"
-    );
-    let diverged = batch_outcome(&case, &mutant(2));
-    assert_ne!(
-        diverged.extents_sorted(),
-        reference.extents_sorted(),
-        "a misaligned intern-resolution table must produce wrong fact \
-         values — otherwise the oracle could not catch an epoch-freeze bug"
-    );
 }

@@ -152,10 +152,9 @@ proptest! {
     /// are small, so the sweeps above reach the multi-worker machinery
     /// only through its dispatch decision. Here both the durable run that
     /// *writes* the log and every recovery that *replays* it are forced
-    /// through the parallel dispatch path (multi-worker match + sharded
-    /// commit) at threads 1/2/4/8 — WAL bytes and recovered state must
-    /// stay bit-for-bit identical to the sequential reference at every
-    /// kill point.
+    /// through the multi-worker match at threads 1/2/4/8 — WAL bytes and
+    /// recovered state must stay bit-for-bit identical to the sequential
+    /// reference at every kill point.
     #[test]
     fn sharded_commit_recovery_is_bit_for_bit(case in interleaved_cases_with_gd()) {
         let opts = fuzz_opts();
