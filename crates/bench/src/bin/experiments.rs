@@ -148,7 +148,7 @@ fn e5_thm8_model_size() {
         let p = e
             .parse_program("doubled(X ++ X) :- r(X).\nsquared(@square(X)) :- doubled(X).")
             .unwrap();
-        assert!(e.analyze(&p).strongly_safe);
+        assert!(e.analyze(&p).unwrap().strongly_safe);
         let mut db = Database::new();
         let mut db_domain = 0usize;
         for w in &words {
@@ -464,11 +464,12 @@ fn e14_fig3_safety_verdicts() {
     ];
     for (name, src) in programs {
         let p = e.parse_program(src).unwrap();
-        let rep = e.analyze(&p);
+        let rep = e.analyze(&p).unwrap();
         let cyc = rep
-            .violations
+            .graph
+            .constructive_cycle_edges(&rep.condensation)
             .iter()
-            .map(|v| format!("{}→{}", v.from, v.to))
+            .map(|v| format!("{}→{}", rep.pred_name(v.from), rep.pred_name(v.to)))
             .collect::<Vec<_>>()
             .join(", ");
         println!(

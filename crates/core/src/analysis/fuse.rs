@@ -109,7 +109,7 @@ pub fn fuse_chain(
 }
 
 /// Collect every machine name referenced by transducer terms in `term`.
-fn collect_refs(term: &CSeq, out: &mut Vec<String>) {
+pub(super) fn collect_refs(term: &CSeq, out: &mut Vec<String>) {
     match term {
         CSeq::Const(_) | CSeq::Var(_) | CSeq::Indexed { .. } => {}
         CSeq::Concat(a, b) => {

@@ -1,13 +1,12 @@
 //! The predicate dependency graph over dense node ids (Definition 9).
 //!
-//! This is the **one** graph implementation in the crate: the AST-level
-//! [`crate::safety`] facade and the compile-time [`super::Schedule`] /
-//! [`super::ProgramReport`] paths both build a [`PredGraph`] and share its
-//! condensation. Nodes are dense `u32` ids — [`crate::compile::PredId`]s on
-//! the compiled path, [`crate::compile::PredTable`]-interned names on the
-//! AST path — so strongly connected components, topological stratum levels,
-//! and constructive-cycle detection run without hashing a predicate-name
-//! `String`.
+//! This is the **one** graph implementation in the crate: the
+//! compile-time [`super::Schedule`] and [`super::ProgramReport`] build a
+//! [`PredGraph`] over [`crate::compile::PredId`] nodes and share its
+//! condensation, so strongly connected components, topological stratum
+//! levels, and constructive-cycle detection run without hashing a
+//! predicate-name `String`. [`super::ProgramReport::pred_name`] names a
+//! node for printing.
 
 use seqlog_sequence::FxHashMap;
 

@@ -8,13 +8,19 @@
 //! lint engine ([`lint`]) emits stable `SL001`..`SL006` diagnostics
 //! covering strong safety (Theorem 8), range restriction, dead code, and
 //! arity hygiene. Everything operates on [`CompiledProgram`] / `PredId` —
-//! no predicate-name strings on the analysis path; the AST-level
-//! [`crate::safety`] module is a thin facade over this one.
+//! no predicate-name strings on the analysis path.
 //!
-//! Entry points: [`ProgramReport::analyze`] (database predicates inferred
-//! as the predicates heading no clause) and
-//! [`ProgramReport::analyze_with_edb`] (explicit closed-world set, used by
-//! sessions which know what has actually been asserted).
+//! [`ProgramReport`] is the crate's one static-analysis report. Besides
+//! the graph, strata and lints it carries the fragment flags the paper
+//! classifies programs by: guardedness (Appendix B), the non-constructive
+//! fragment (Theorem 3), and the program order (Section 7.1).
+//!
+//! Entry points: [`crate::engine::Engine::analyze`] (compile, analyze,
+//! then attach fusion and the registered machines' order),
+//! [`ProgramReport::analyze`] (database predicates inferred as the
+//! predicates heading no clause) and [`ProgramReport::analyze_with_edb`]
+//! (explicit closed-world set, used by sessions which know what has
+//! actually been asserted).
 
 pub mod adorn;
 pub mod fuse;
@@ -31,6 +37,7 @@ pub use magic::{magic_transform, render_clause, MagicProgram};
 pub use schedule::{Schedule, Stratum};
 
 use crate::compile::{CBody, CompiledProgram, PredId};
+use crate::registry::TransducerRegistry;
 use std::fmt::Write as _;
 
 /// Static facts about one compiled clause.
@@ -70,6 +77,17 @@ pub struct ProgramReport {
     /// True when no constructive edge lies on a cycle (Theorem 8) — i.e.
     /// no `SL001` diagnostic fired.
     pub strongly_safe: bool,
+    /// True when every clause is guarded (Appendix B).
+    pub guarded: bool,
+    /// True when no clause is constructive: the non-constructive Sequence
+    /// Datalog fragment of Theorem 3.
+    pub non_constructive: bool,
+    /// Program order (Section 7.1): 0 for a non-constructive program,
+    /// otherwise the highest order among the registered machines named in
+    /// clause heads, and at least 1 (`++` is an order-1 device). The
+    /// registry-free analysis reports 0 or 1 until
+    /// [`ProgramReport::attach_order`] consults a registry.
+    pub order: usize,
     /// Transducer-fusion decisions (empty until a machine-level pass is
     /// attached via [`ProgramReport::attach_fusion`], since fusion needs a
     /// registry the pure program analysis does not have).
@@ -136,7 +154,9 @@ impl ProgramReport {
                     stratum: comp,
                 }
             })
-            .collect();
+            .collect::<Vec<_>>();
+        let guarded = clause_facts.iter().all(|f| f.guarded);
+        let non_constructive = !clause_facts.iter().any(|f| f.constructive);
 
         Self {
             clause_facts,
@@ -145,6 +165,9 @@ impl ProgramReport {
             condensation,
             schedule,
             strongly_safe,
+            guarded,
+            non_constructive,
+            order: usize::from(!non_constructive),
             fusion: Vec::new(),
             pred_names: program.preds.iter().map(|(_, n)| n.to_string()).collect(),
         }
@@ -159,6 +182,26 @@ impl ProgramReport {
             (a.code, a.clause, &a.pred, &a.message).cmp(&(b.code, b.clause, &b.pred, &b.message))
         });
         self.fusion = pass.decisions.clone();
+    }
+
+    /// Raise [`ProgramReport::order`] to the highest order among the
+    /// machines in `registry` that `program`'s clause heads call
+    /// (Section 7.1); unregistered names are ignored.
+    pub fn attach_order(&mut self, program: &CompiledProgram, registry: &TransducerRegistry) {
+        let mut names = Vec::new();
+        for clause in &program.clauses {
+            for term in &clause.head.args {
+                fuse::collect_refs(term, &mut names);
+            }
+        }
+        let machines = registry.program_order(names.iter().map(String::as_str));
+        self.order = self.order.max(machines);
+    }
+
+    /// The name of dependency-graph node `node` (a [`PredId`] index), so
+    /// [`PredGraph::edges`] and the constructive-cycle edges print by name.
+    pub fn pred_name(&self, node: u32) -> &str {
+        &self.pred_names[node as usize]
     }
 
     /// True when some diagnostic has [`Severity::Error`].
@@ -261,6 +304,29 @@ mod tests {
         let mut st = SeqStore::new();
         let p = parse_program(src, &mut a, &mut st).unwrap();
         compile(&p).unwrap()
+    }
+
+    /// The report [`crate::engine::Engine::analyze`] gives for `src`.
+    fn report(src: &str) -> ProgramReport {
+        let mut e = crate::engine::Engine::new();
+        let p = e.parse_program(src).unwrap();
+        e.analyze(&p).unwrap()
+    }
+
+    /// The node id of the predicate named `name` in `r`'s graph.
+    fn node(r: &ProgramReport, name: &str) -> u32 {
+        (0..r.graph.len() as u32)
+            .find(|&n| r.pred_name(n) == name)
+            .unwrap()
+    }
+
+    /// The constructive-cycle edges (the `SL001` witnesses) by name.
+    fn violations(r: &ProgramReport) -> Vec<(&str, &str)> {
+        r.graph
+            .constructive_cycle_edges(&r.condensation)
+            .iter()
+            .map(|e| (r.pred_name(e.from), r.pred_name(e.to)))
+            .collect()
     }
 
     fn codes(report: &ProgramReport) -> Vec<&'static str> {
@@ -391,5 +457,132 @@ mod tests {
         let aa = text.find(": a ").expect("a listed");
         let bb = text.find(": b ").expect("b listed");
         assert!(ra < aa && aa < bb);
+    }
+
+    #[test]
+    fn example_8_1_p1_is_strongly_safe() {
+        // P1: mutual recursion between p and q, with construction feeding r
+        // from a non-recursive clause — no constructive cycle.
+        let r = report(
+            "p(X) :- r(X, Y), q(Y).\n\
+             q(X) :- r(X, Y), p(Y).\n\
+             r(@t1(X), @t2(Y)) :- a(X, Y).",
+        );
+        assert!(r.strongly_safe, "violations: {:?}", violations(&r));
+    }
+
+    #[test]
+    fn example_8_1_p2_is_not_strongly_safe() {
+        // P2: p(T(X)) :- p(X) — a constructive self-loop.
+        let r = report("p(@t(X)) :- p(X).");
+        assert!(!r.strongly_safe);
+        assert_eq!(violations(&r), [("p", "p")]);
+    }
+
+    #[test]
+    fn example_8_1_p3_is_not_strongly_safe() {
+        // P3: q → r (plain), r → p (constructive), p → q (plain): the
+        // constructive edge lies on the 3-cycle.
+        let r = report(
+            "q(X) :- r(X).\n\
+             r(@t(X)) :- p(X).\n\
+             p(X) :- q(X).",
+        );
+        assert!(!r.strongly_safe);
+        assert_eq!(violations(&r), [("r", "p")]);
+    }
+
+    #[test]
+    fn rep2_is_not_strongly_safe_but_rep1_is() {
+        // Example 1.5.
+        let rep1 = report(
+            "rep1(X, X) :- seq(X).\n\
+             rep1(X, X[1:N]) :- rep1(X[N+1:end], X[1:N]).",
+        );
+        assert!(rep1.strongly_safe);
+        assert!(rep1.non_constructive);
+        assert_eq!(rep1.order, 0);
+
+        let rep2 = report(
+            "rep2(X, X) :- seq(X).\n\
+             rep2(X ++ Y, Y) :- rep2(X, Y).",
+        );
+        assert!(!rep2.strongly_safe);
+        assert!(!rep2.non_constructive);
+    }
+
+    #[test]
+    fn example_5_1_stratified_construction_is_strongly_safe() {
+        let r = report(
+            "double(X ++ X) :- r(X).\n\
+             quadruple(X ++ X) :- double(X).",
+        );
+        assert!(r.strongly_safe);
+        // Strata: r at 0, double at 1, quadruple at 2.
+        let level = |name| r.condensation.level_of(node(&r, name));
+        assert_eq!(level("r"), 0);
+        assert_eq!(level("double"), 1);
+        assert_eq!(level("quadruple"), 2);
+    }
+
+    #[test]
+    fn echo_program_is_not_strongly_safe() {
+        // Example 1.6.
+        let r = report(
+            "answer(X, Y) :- rel(X), echo(X, Y).\n\
+             echo(\"\", \"\").\n\
+             echo(X[1] ++ X[1] ++ Z, W) :- echo(X[2:end], Z).",
+        );
+        // The recursive constructive clause has head pred echo and body pred
+        // echo — a constructive self-loop.
+        assert!(!r.strongly_safe);
+        assert_eq!(violations(&r), [("echo", "echo")]);
+    }
+
+    #[test]
+    fn scc_handles_self_loops_and_chains() {
+        let r = report(
+            "a(X) :- b(X).\n\
+             b(X) :- a(X).\n\
+             c(X) :- b(X).",
+        );
+        let comp = |name| r.condensation.comp[node(&r, name) as usize];
+        assert_eq!(comp("a"), comp("b"));
+        assert_ne!(comp("a"), comp("c"));
+        assert!(r.strongly_safe);
+    }
+
+    #[test]
+    fn non_constructive_program_has_order_zero() {
+        let r = report("suffix(X[N:end]) :- r(X).");
+        assert!(r.non_constructive);
+        assert_eq!(r.order, 0);
+        assert!(r.strongly_safe);
+    }
+
+    #[test]
+    fn concatenation_only_program_has_order_one() {
+        let r = report("answer(X ++ Y) :- r(X), r(Y).");
+        assert!(!r.non_constructive);
+        assert_eq!(r.order, 1);
+    }
+
+    #[test]
+    fn program_order_is_the_highest_registered_machine_order() {
+        let mut e = crate::engine::Engine::new();
+        let syms: Vec<_> = "ab".chars().map(|c| e.alphabet.intern_char(c)).collect();
+        let copy = seqlog_transducer::library::copy(&mut e.alphabet, &syms);
+        let square = seqlog_transducer::library::square(&mut e.alphabet, &syms);
+        e.register_transducer("copy", copy);
+        e.register_transducer("square", square);
+        let order = |e: &mut crate::engine::Engine, src: &str| {
+            let p = e.parse_program(src).unwrap();
+            e.analyze(&p).unwrap().order
+        };
+        assert_eq!(order(&mut e, "c(@copy(X)) :- r(X)."), 1);
+        assert_eq!(order(&mut e, "s(@square(X)) :- r(X)."), 2);
+        assert_eq!(order(&mut e, "s(@square(X) ++ @copy(X)) :- r(X)."), 2);
+        // An unregistered machine contributes no order.
+        assert_eq!(order(&mut e, "u(@nope(X)) :- r(X)."), 1);
     }
 }

@@ -229,12 +229,6 @@ impl Program {
         }
         out
     }
-
-    /// True when no clause uses a constructive or transducer term — the
-    /// *Non-constructive Sequence Datalog* fragment of Theorem 3.
-    pub fn is_non_constructive(&self) -> bool {
-        !self.clauses.iter().any(Clause::is_constructive)
-    }
 }
 
 /// Pretty-printing of programs back to concrete syntax (used by the guarding
@@ -429,7 +423,6 @@ mod tests {
             }],
         };
         assert_eq!(p.predicates(), vec!["a".to_string(), "b".to_string()]);
-        assert!(p.is_non_constructive());
     }
 
     #[test]

@@ -28,7 +28,6 @@ use crate::eval::interp::Relation;
 use crate::eval::{EvalConfig, EvalError, Model};
 use crate::parser::{parse_program, ParseError};
 use crate::registry::TransducerRegistry;
-use crate::safety::{analyze, SafetyReport};
 use crate::session::EngineSession;
 use seqlog_sequence::{Alphabet, SeqId, SeqStore, Sym};
 use seqlog_transducer::Transducer;
@@ -226,46 +225,49 @@ impl Engine {
         EngineSession::open(self, program, config)
     }
 
-    /// Static safety analysis (Section 8): dependency graph, constructive
-    /// cycles, strong safety, guardedness, program order.
-    pub fn analyze(&self, program: &Program) -> SafetyReport {
-        analyze(program, &self.registry)
-    }
-
-    /// Static safety analysis with a database: database-only predicates
-    /// join the dependency graph and the strata as source nodes.
-    pub fn analyze_with_db(&self, program: &Program, db: &Database) -> SafetyReport {
-        crate::safety::analyze_with_db(program, &self.registry, db)
-    }
-
-    /// Compile-time program analysis (see [`crate::analysis`]): SCC
-    /// condensation, the stratified evaluation schedule, per-clause facts,
-    /// and `SL001`..`SL006` lint diagnostics. Database predicates are
-    /// inferred as the predicates heading no clause; pass an explicit set
-    /// through [`ProgramReport::analyze_with_edb`] (or use
-    /// [`crate::session::EngineSession::report`], which knows what has
-    /// actually been asserted) for the closed-world reading.
+    /// Static analysis of `program` (see [`crate::analysis`]): compile it,
+    /// then report the dependency graph (Definition 9) and its SCC
+    /// condensation, strong safety (Definition 10, Theorem 8), the strata
+    /// of stratified construction, guardedness (Appendix B), the
+    /// non-constructive fragment (Theorem 3), the program order against
+    /// this engine's registry (Section 7.1), the stratified evaluation
+    /// schedule, per-clause facts, the `SL001`..`SL009` lint diagnostics
+    /// and the transducer-fusion decisions. Database predicates are
+    /// inferred as the predicates heading no clause;
+    /// [`crate::session::EngineSession::report`] knows what has actually
+    /// been asserted and gives the closed-world reading. A program that
+    /// [`crate::compile::compile`] rejects returns
+    /// [`EvalError::Compile`].
     ///
     /// ```
     /// use seqlog_core::engine::Engine;
     /// use seqlog_core::analysis::LintCode;
     ///
     /// let mut engine = Engine::new();
+    /// // Example 5.1: construction between strata, never on a cycle.
+    /// let program = engine
+    ///     .parse_program("double(X ++ X) :- r(X).\nquadruple(X ++ X) :- double(X).")
+    ///     .unwrap();
+    /// let report = engine.analyze(&program).unwrap();
+    /// assert!(report.strongly_safe && report.guarded && !report.non_constructive);
+    /// assert_eq!(report.order, 1);
+    /// // A duplicated clause is linted.
     /// let program = engine
     ///     .parse_program("p(X) :- q(X).\np(X) :- q(X).")
     ///     .unwrap();
-    /// let report = engine.report(&program).unwrap();
+    /// let report = engine.analyze(&program).unwrap();
     /// let codes: Vec<_> = report.diagnostics.iter().map(|d| d.code).collect();
     /// assert_eq!(codes, [LintCode::DuplicateClause]);
     /// ```
-    pub fn report(&self, program: &Program) -> Result<ProgramReport, EvalError> {
-        let compiled = crate::compile::compile(program).map_err(EvalError::Compile)?;
+    pub fn analyze(&self, program: &Program) -> Result<ProgramReport, EvalError> {
+        let compiled = crate::compile::compile(program)?;
         let mut report = ProgramReport::analyze(&compiled);
         report.attach_fusion(&crate::analysis::fuse::fuse_program(
             &compiled,
             &self.registry,
             &crate::analysis::FuseLimits::default(),
         ));
+        report.attach_order(&compiled, &self.registry);
         Ok(report)
     }
 

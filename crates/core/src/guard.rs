@@ -18,7 +18,6 @@
 //! Lemmas 5–7).
 
 use crate::ast::{Atom, BodyLit, Clause, IndexTerm, Program, SeqTerm};
-use crate::safety::is_guarded;
 
 /// The reserved predicate name introduced by guarding.
 pub const DOM_PRED: &str = "dom";
@@ -46,53 +45,56 @@ fn arities(program: &Program, extra_schema: &[(String, usize)]) -> Vec<(String, 
     out
 }
 
+/// The sequence variables of `clause` that no body atom has as a whole
+/// argument, sorted and deduplicated: empty exactly when the clause is
+/// guarded (Appendix B).
+fn unguarded_vars(clause: &Clause) -> Vec<String> {
+    let mut seq_vars = Vec::new();
+    let mut idx_vars = Vec::new();
+    for t in &clause.head.args {
+        t.vars(&mut seq_vars, &mut idx_vars);
+    }
+    for l in &clause.body {
+        match l {
+            BodyLit::Atom(a) => {
+                for t in &a.args {
+                    t.vars(&mut seq_vars, &mut idx_vars);
+                }
+            }
+            BodyLit::Eq(a, b) | BodyLit::Neq(a, b) => {
+                a.vars(&mut seq_vars, &mut idx_vars);
+                b.vars(&mut seq_vars, &mut idx_vars);
+            }
+        }
+    }
+    seq_vars.sort();
+    seq_vars.dedup();
+    seq_vars.retain(|v| {
+        !clause.body.iter().any(|l| match l {
+            BodyLit::Atom(a) => a
+                .args
+                .iter()
+                .any(|t| matches!(t, SeqTerm::Var(x) if x == v)),
+            _ => false,
+        })
+    });
+    seq_vars
+}
+
 /// Build the guarded program `P^G` (Theorem 10). `extra_schema` lists base
 /// predicates of the database that the program may not mention explicitly.
 pub fn guard_program(program: &Program, extra_schema: &[(String, usize)]) -> Program {
     let mut clauses = Vec::with_capacity(program.clauses.len() + 8);
 
-    // (1) Guard every clause.
+    // (1) Guard every clause; a guarded one passes through unchanged.
     for c in &program.clauses {
-        if is_guarded(c) {
-            clauses.push(c.clone());
-            continue;
-        }
-        let mut seq_vars = Vec::new();
-        let mut idx_vars = Vec::new();
-        for t in &c.head.args {
-            t.vars(&mut seq_vars, &mut idx_vars);
-        }
-        for l in &c.body {
-            match l {
-                BodyLit::Atom(a) => {
-                    for t in &a.args {
-                        t.vars(&mut seq_vars, &mut idx_vars);
-                    }
-                }
-                BodyLit::Eq(a, b) | BodyLit::Neq(a, b) => {
-                    a.vars(&mut seq_vars, &mut idx_vars);
-                    b.vars(&mut seq_vars, &mut idx_vars);
-                }
-            }
-        }
-        seq_vars.sort();
-        seq_vars.dedup();
         let mut body = c.body.clone();
-        for v in seq_vars {
-            let already = c.body.iter().any(|l| match l {
-                BodyLit::Atom(a) => a
-                    .args
-                    .iter()
-                    .any(|t| matches!(t, SeqTerm::Var(x) if *x == v)),
-                _ => false,
-            });
-            if !already {
-                body.push(BodyLit::Atom(Atom {
-                    pred: DOM_PRED.into(),
-                    args: vec![SeqTerm::Var(v)],
-                }));
-            }
-        }
+        body.extend(unguarded_vars(c).into_iter().map(|v| {
+            BodyLit::Atom(Atom {
+                pred: DOM_PRED.into(),
+                args: vec![SeqTerm::Var(v)],
+            })
+        }));
         clauses.push(Clause {
             head: c.head.clone(),
             body,
@@ -143,6 +145,20 @@ mod tests {
     use super::*;
     use crate::database::Database;
     use crate::engine::Engine;
+
+    fn is_guarded(clause: &Clause) -> bool {
+        unguarded_vars(clause).is_empty()
+    }
+
+    #[test]
+    fn guardedness_examples_from_section_3_1() {
+        let mut e = Engine::new();
+        let p = e
+            .parse_program("p(X[1]) :- q(X).\np(X) :- q(X[1]).")
+            .unwrap();
+        assert!(is_guarded(&p.clauses[0]));
+        assert!(!is_guarded(&p.clauses[1]));
+    }
 
     #[test]
     fn guarded_output_is_guarded() {

@@ -13,11 +13,12 @@
 //!   [`registry::TransducerRegistry`]; [`translate`] compiles any Transducer
 //!   Datalog program to an equivalent plain Sequence Datalog program
 //!   (Theorem 7).
-//! * **Safety analysis** (Sections 5 and 8): dependency graphs, constructive
-//!   cycles, strong safety, stratified construction, program order
-//!   ([`safety`]), backed by the IR-level [`analysis`] subsystem whose SCC
-//!   condensation also drives the evaluator's stratified schedule and whose
-//!   lint engine emits stable `SL001`..`SL006` diagnostics.
+//! * **Static analysis** (Sections 5, 7.1 and 8): one report,
+//!   [`analysis::ProgramReport`] from [`engine::Engine::analyze`], holds the
+//!   dependency graph, constructive cycles, strong safety, the strata of
+//!   stratified construction, guardedness and program order; its SCC
+//!   condensation also drives the evaluator's stratified schedule and its
+//!   lint engine emits stable `SL001`..`SL006` diagnostics ([`analysis`]).
 //! * **Guarding** (Appendix B, Theorem 10): the `dom`-guarding
 //!   transformation ([`guard`]).
 //! * **Model theory** (Appendix A): model checking against the fixpoint
@@ -56,7 +57,6 @@ pub mod lexer;
 pub mod model;
 pub mod parser;
 pub mod registry;
-pub mod safety;
 pub mod session;
 pub mod snapshot;
 pub mod translate;
@@ -85,7 +85,6 @@ pub mod prelude {
     pub use crate::guard::guard_program;
     pub use crate::model::is_model;
     pub use crate::registry::TransducerRegistry;
-    pub use crate::safety::{analyze, analyze_with_db};
     pub use crate::session::{DurabilityOptions, EngineSession};
     pub use crate::translate::translate_program;
     pub use crate::wal::RecoveryError;

@@ -915,14 +915,21 @@ impl EngineSession {
         Some(tuple)
     }
 
-    /// Eager `max_seq_len` enforcement on the assert path: domain closure
-    /// interns O(len²) windows, so an oversized input must be rejected
-    /// *before* closure, not discovered by the next run's budget check.
+    /// Eager `max_seq_len` enforcement on the assert path (and, through
+    /// [`check_seq_len`](Self::check_seq_len), on the constructive
+    /// point-query path): domain closure interns O(len²) windows, so an
+    /// oversized input must be rejected *before* closure, not discovered
+    /// by the next run's budget check.
     /// Rejection does **not** poison — the interpretation is untouched and
     /// the session keeps serving (batch evaluation, by contrast, only
     /// discovers oversized database sequences at run time).
     fn check_seq_budget(&self, id: SeqId) -> Result<(), EvalError> {
-        let len = self.store.len_of(id);
+        self.check_seq_len(self.store.len_of(id))
+    }
+
+    /// [`check_seq_budget`](Self::check_seq_budget) for a sequence of `len`
+    /// symbols that need not be interned.
+    fn check_seq_len(&self, len: usize) -> Result<(), EvalError> {
         if len > self.config.max_seq_len {
             let mut stats = self.fx.stats();
             stats.max_seq_len = stats.max_seq_len.max(len);
@@ -1410,6 +1417,11 @@ impl EngineSession {
             });
         };
         let bound = if self.program.clauses.iter().any(|c| c.constructive) {
+            // The assert path's `max_seq_len` refusal, checked before
+            // interning: window closure stores O(n³) symbols.
+            for (_, value) in bound_values(pattern) {
+                self.check_seq_len(value.chars().count())?;
+            }
             intern_pattern(pattern, &mut self.alphabet, &mut self.store)
         } else {
             // Without a constructive clause the fixpoint holds only
@@ -1529,7 +1541,9 @@ impl EngineSession {
     /// [`Schedule`](crate::analysis::Schedule) is the one the session's
     /// runs follow: an assert into predicate `p` re-runs only `p`'s
     /// stratum and its downstream cone — every other stratum's planning
-    /// finds an empty delta and skips without paying a round.
+    /// finds an empty delta and skips without paying a round. Fusion
+    /// decisions and the program order come from the session's registry,
+    /// as [`Engine::analyze`] attaches them.
     pub fn report(&self) -> crate::analysis::ProgramReport {
         let n = self.program.preds.len();
         let mut is_head = vec![false; n];
@@ -1547,6 +1561,7 @@ impl EngineSession {
             decisions: self.fusion_decisions.clone(),
             fused: None,
         });
+        report.attach_order(&self.program, &self.registry);
         report
     }
 
@@ -1652,7 +1667,8 @@ fn bound_values<'p>(pattern: &'p [Bind<'_>]) -> impl Iterator<Item = (usize, &'p
 /// constants (a guard-bound variable may serve as an indexed base). It
 /// costs O(n³) symbols for an n-symbol value (every window is stored as
 /// its own sequence), which is why only a constructive program's scratch
-/// route takes it; every other route only looks values up.
+/// route takes it, after refusing values past `max_seq_len`; every other
+/// route only looks values up.
 fn intern_pattern(
     pattern: &[Bind<'_>],
     alphabet: &mut Alphabet,
@@ -1794,6 +1810,46 @@ mod tests {
         let r = probe(&mut s, "anc", "b");
         assert_eq!(r.answers, vec![vec!["b".to_string(), "c".to_string()]]);
         assert!(r.evaluated);
+    }
+
+    #[test]
+    fn unsettled_query_of_an_overlong_key_refuses_before_interning() {
+        // A constructive clause makes the scratch route intern and
+        // window-close bound values, so `max_seq_len` applies to them as it
+        // does to asserted ones.
+        let mut e = Engine::new();
+        let program = e
+            .parse_program("dbl(X, X ++ X) :- r(X).")
+            .expect("test program parses");
+        let config = EvalConfig {
+            max_seq_len: 64,
+            ..EvalConfig::default()
+        };
+        let mut s = e
+            .into_session(&program, config)
+            .expect("test program compiles");
+        s.assert_fact("r", &["ab"]).unwrap();
+        assert!(!s.is_settled());
+        let (seqs, syms) = (s.store.count(), s.alphabet.len());
+        let key = "ab".repeat(100);
+        let refusal = |r: Result<Vec<Vec<String>>, EvalError>| match r {
+            Err(EvalError::Budget {
+                kind: BudgetKind::SeqLen,
+                stats,
+            }) => stats.max_seq_len,
+            other => panic!("expected a seq-len budget error, got {other:?}"),
+        };
+        let refused = refusal(s.query_bound("dbl", &[Bind::Bound(&key), Bind::Free]));
+        assert_eq!(refused, 200);
+        assert!(!s.is_poisoned());
+        assert_eq!((s.store.count(), s.alphabet.len()), (seqs, syms));
+        // The same refusal the assert path gives.
+        assert_eq!(
+            refusal(s.assert_fact("r", &[&key]).map(|_| Vec::new())),
+            200
+        );
+        let r = s.query_bound("dbl", &[Bind::Bound("ab"), Bind::Free]);
+        assert_eq!(r.unwrap(), vec![vec!["ab".to_string(), "abab".to_string()]]);
     }
 
     #[test]

@@ -487,7 +487,7 @@ fn fused_chain_engine() -> (Engine, seqlog_core::ast::Program) {
     e.register_transducer("g", g);
     let p = e.parse_program("p(X, @f(@g(X))) :- r(X).").unwrap();
     assert!(
-        e.report(&p).unwrap().fusion.iter().any(|d| d.applied),
+        e.analyze(&p).unwrap().fusion.iter().any(|d| d.applied),
         "the chain must actually fuse for these pins to mean anything"
     );
     (e, p)

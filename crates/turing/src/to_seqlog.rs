@@ -262,7 +262,7 @@ mod tests {
         let mut e = Engine::new();
         let tm = samples::complement_tm(&mut e.alphabet);
         let program = tm_to_seqlog(&tm, &mut e.alphabet, &mut e.store);
-        let report = e.analyze(&program);
+        let report = e.analyze(&program).unwrap();
         assert!(!report.strongly_safe);
     }
 }

@@ -38,7 +38,7 @@ fn main() {
         .expect("parses");
 
     // Strong safety: no recursion through transducer terms (Section 8).
-    let report = engine.analyze(&program);
+    let report = engine.analyze(&program).expect("compiles");
     assert!(report.strongly_safe);
     println!("program is strongly safe; order = {}", report.order);
 

@@ -74,14 +74,15 @@ fn main() {
             "#,
         )
         .expect("parses");
-    let report = engine.analyze(&rep2);
+    let report = engine.analyze(&rep2).expect("compiles");
     assert!(!report.strongly_safe, "rep2 has a constructive cycle");
     println!(
         "rep2 constructive-cycle edges: {:?}",
         report
-            .violations
+            .graph
+            .constructive_cycle_edges(&report.condensation)
             .iter()
-            .map(|e| format!("{}→{}", e.from, e.to))
+            .map(|e| format!("{}→{}", report.pred_name(e.from), report.pred_name(e.to)))
             .collect::<Vec<_>>()
     );
     match engine.evaluate_with(&rep2, &db2, &EvalConfig::probe()) {
@@ -107,7 +108,7 @@ fn main() {
             "#,
         )
         .expect("parses");
-    let report = engine.analyze(&echo);
+    let report = engine.analyze(&echo).expect("compiles");
     println!(
         "Example 1.6 echo program strongly safe? {}",
         report.strongly_safe

@@ -26,7 +26,7 @@ fn main() {
 
     // Static analysis before running: dependency graph, constructive
     // cycles, guardedness, program order (Sections 5 and 8).
-    let report = engine.analyze(&program);
+    let report = engine.analyze(&program).expect("compiles");
     println!("strongly safe: {}", report.strongly_safe);
     println!("non-constructive fragment: {}", report.non_constructive);
 

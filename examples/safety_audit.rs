@@ -4,19 +4,24 @@
 //!
 //! Run with: `cargo run --example safety_audit`
 
+use sequence_datalog::core::analysis::DepEdge;
 use sequence_datalog::core::Engine;
 
 fn audit(engine: &mut Engine, name: &str, src: &str, expect_safe: bool) {
     let program = engine.parse_program(src).expect("parses");
-    let report = engine.analyze(&program);
+    let report = engine.analyze(&program).expect("compiles");
+    let named = |e: &DepEdge| (report.pred_name(e.from), report.pred_name(e.to));
     println!("── {name} ──");
-    for edge in &report.graph.edges {
-        let marker = if edge.constructive {
-            " [constructive]"
-        } else {
-            ""
-        };
-        println!("    {} → {}{}", edge.from, edge.to, marker);
+    let mut edges: Vec<_> = report
+        .graph
+        .edges()
+        .iter()
+        .map(|e| (named(e), e.constructive))
+        .collect();
+    edges.sort_unstable();
+    for ((from, to), constructive) in edges {
+        let marker = if constructive { " [constructive]" } else { "" };
+        println!("    {from} → {to}{marker}");
     }
     let verdict = if report.strongly_safe {
         "strongly safe"
@@ -24,10 +29,9 @@ fn audit(engine: &mut Engine, name: &str, src: &str, expect_safe: bool) {
         "NOT strongly safe"
     };
     println!("    ⇒ {verdict}");
-    if !report.violations.is_empty() {
-        for v in &report.violations {
-            println!("      constructive cycle through {} → {}", v.from, v.to);
-        }
+    for v in report.graph.constructive_cycle_edges(&report.condensation) {
+        let (from, to) = named(&v);
+        println!("      constructive cycle through {from} → {to}");
     }
     println!();
     assert_eq!(report.strongly_safe, expect_safe, "{name}");

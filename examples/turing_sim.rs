@@ -38,7 +38,7 @@ fn main() {
         "\nTheorem 1 program: {} clauses (one per transition, plus input/output glue)",
         program.clauses.len()
     );
-    let report = engine.analyze(&program);
+    let report = engine.analyze(&program).expect("compiles");
     println!(
         "strongly safe? {} (Turing-complete simulations cannot be)",
         report.strongly_safe

@@ -25,7 +25,9 @@
 # SL004 verdicts sound against evaluation), the perfbench smoke run (every
 # workload at --size tiny; its batch-eval path is Engine::evaluate_with,
 # the session-backed front door), the SL001..SL009 lint analyzer over the
-# program corpus with machine-level lints, and a zero-warning clippy
+# program corpus with machine-level lints, the Fig. 3 / Example 8.1
+# strong-safety audit (examples/safety_audit.rs asserts each verdict),
+# and a zero-warning clippy
 # pass over every
 # target. The fuzz
 # generators are seeded from test names (see crates/shims/proptest), so a
@@ -123,6 +125,10 @@ echo "    fail if their diagnostic stops reproducing (--machines prints the"
 echo "    registered machines' algebra report: size, functionality, minimized"
 echo "    size)"
 cargo run --release -q --example analyze -- --check --machines examples/programs/*.sdl
+
+echo "==> safety audit (examples/safety_audit.rs): the Fig. 3 / Example 8.1"
+echo "    strong-safety verdicts of Engine::analyze, asserted program by program"
+cargo run --release -q --example safety_audit
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings

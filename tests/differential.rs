@@ -452,9 +452,9 @@ fn theorem_10_guarded_programs_are_guarded() {
     let p = e
         .parse_program("p(X) :- q(X[1]).\npair(X, Y) :- q(X).")
         .unwrap();
-    assert!(!e.analyze(&p).guarded);
+    assert!(!e.analyze(&p).unwrap().guarded);
     let g = guard_program(&p, &[]);
-    assert!(e.analyze(&g).guarded);
+    assert!(e.analyze(&g).unwrap().guarded);
 }
 
 #[test]

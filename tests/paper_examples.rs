@@ -58,7 +58,7 @@ fn example_1_3_anbncn() {
             "#,
         )
         .unwrap();
-    let report = e.analyze(&p);
+    let report = e.analyze(&p).unwrap();
     assert!(
         report.non_constructive,
         "pattern matching needs no construction"
@@ -125,7 +125,7 @@ fn example_1_5_rep2_constructive_diverges() {
             "#,
         )
         .unwrap();
-    assert!(!e.analyze(&p).strongly_safe);
+    assert!(!e.analyze(&p).unwrap().strongly_safe);
     match e.evaluate_with(&p, &db, &EvalConfig::probe()) {
         Err(EvalError::Budget { .. }) => {}
         other => panic!("rep2 must exhaust a budget, got {other:?}"),
@@ -157,7 +157,7 @@ fn example_1_6_echo_program_diverges_but_query_is_finite() {
     let p2 = e2
         .parse_program("answer(X, @echo(X, X)) :- rel(X).")
         .unwrap();
-    assert!(e2.analyze(&p2).strongly_safe);
+    assert!(e2.analyze(&p2).unwrap().strongly_safe);
     let mut db2 = Database::new();
     e2.add_fact(&mut db2, "rel", &["ab"]);
     let m = e2.evaluate(&p2, &db2).unwrap();
@@ -176,7 +176,7 @@ fn example_5_1_stratified_construction() {
             "#,
         )
         .unwrap();
-    assert!(e.analyze(&p).strongly_safe);
+    assert!(e.analyze(&p).unwrap().strongly_safe);
     let m = e.evaluate(&p, &db).unwrap();
     assert_eq!(e.answers(&m, "double"), vec!["xyxy"]);
     assert_eq!(e.answers(&m, "quadruple"), vec!["xyxyxyxy"]);
@@ -258,9 +258,9 @@ fn example_8_1_and_fig_3_safety_verdicts() {
              p(X) :- q(X).",
         )
         .unwrap();
-    assert!(e.analyze(&p1).strongly_safe);
-    assert!(!e.analyze(&p2).strongly_safe);
-    assert!(!e.analyze(&p3).strongly_safe);
+    assert!(e.analyze(&p1).unwrap().strongly_safe);
+    assert!(!e.analyze(&p2).unwrap().strongly_safe);
+    assert!(!e.analyze(&p3).unwrap().strongly_safe);
 }
 
 #[test]
