@@ -3,7 +3,7 @@
 //! letter mappers, `out(T, @m1(@m2(@m3(X)))) :- r(X), tick(T).`, is
 //! evaluated with the pass enabled (the default — the chain is composed,
 //! trimmed, determinized, and minimized into one machine at compile time)
-//! and disabled (`EvalConfig::danger_disable_fusion`).
+//! and disabled (`EvalConfig::fusion: false`).
 //!
 //! The workload is shaped so per-derivation head construction dominates:
 //! the `tick` join fans each word out into thousands of derivations, and
@@ -79,7 +79,7 @@ fn fused_config() -> EvalConfig {
 
 fn chained_config() -> EvalConfig {
     EvalConfig {
-        danger_disable_fusion: true,
+        fusion: false,
         ..fused_config()
     }
 }

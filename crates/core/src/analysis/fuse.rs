@@ -2,7 +2,7 @@
 //!
 //! Walks every clause's head terms for *chains* of 1-input transducer
 //! calls (`@outer(@inner(X))` and deeper) and the registry's unary chain
-//! [`Network`]s, and collapses each chain into one trimmed, determinized,
+//! [`Network`](seqlog_transducer::Network)s, and collapses each chain into one trimmed, determinized,
 //! minimized machine via the transducer algebra
 //! ([`seqlog_transducer::algebra`]). Evaluation then runs one
 //! deterministic pass per derived tuple instead of a chain of machine
@@ -10,8 +10,11 @@
 //!
 //! The pass is a *pure rewrite*: the fused machine computes exactly the
 //! composed sequence function, so the evaluation extent is bit-for-bit
-//! identical with fusion on or off (`EvalConfig::danger_disable_fusion` is
-//! the mutation hook the differential fuzz suite uses to prove it).
+//! identical with fusion on or off. [`EvalConfig::fusion`] switches the
+//! rewrite off, and the fusion differential fuzz suite (`tests/fuzz_fusion.rs`)
+//! compares both sides.
+//!
+//! [`EvalConfig::fusion`]: crate::eval::EvalConfig::fusion
 //!
 //! Verdicts surface as lints:
 //!
@@ -250,7 +253,7 @@ fn try_fuse(
 ///
 /// Always produces diagnostics and decisions; produces a rewritten program
 /// only when at least one head chain fused. Callers gate *applying* the
-/// rewrite on [`crate::eval::EvalConfig::danger_disable_fusion`]; the
+/// rewrite on [`crate::eval::EvalConfig::fusion`]; the
 /// analysis itself is unconditional so reports do not depend on evaluation
 /// configuration.
 pub fn fuse_program(
@@ -625,7 +628,7 @@ mod tests {
         let on = e_on.evaluate(&p, &db).unwrap();
         let mut e_off = engine();
         let cfg = EvalConfig {
-            danger_disable_fusion: true,
+            fusion: false,
             ..EvalConfig::default()
         };
         let off = e_off.evaluate_with(&p, &db, &cfg).unwrap();

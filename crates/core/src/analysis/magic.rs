@@ -55,23 +55,6 @@ use std::collections::HashMap;
 /// clauses fall back to full evaluation instead.
 const BODY_LIMIT: usize = 128;
 
-/// Harness mutants for the demand fuzz suite. Both default to `false`;
-/// enabling either *deliberately breaks* the transformation so the
-/// oracle tests can prove they would catch the corresponding bug class.
-#[doc(hidden)]
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MagicOptions {
-    /// Mutant: omit the magic guard from clause variants. The rewrite
-    /// over-approximates (answers stay correct) but derives the full
-    /// extent — the selectivity bound in the harness must catch it.
-    pub danger_drop_magic_guard: bool,
-    /// Mutant: skip the domain-sensitivity / constructive fallback gate.
-    /// The rewrite may under-approximate (lose answers) on programs with
-    /// domain-sensitive or constructive cone strata — the extent oracle
-    /// must catch it.
-    pub danger_skip_fallback: bool,
-}
-
 /// A magic-transformed program, ready for the ordinary stratified
 /// evaluator, plus the metadata needed to seed and read it.
 #[derive(Clone, Debug)]
@@ -269,7 +252,6 @@ pub fn magic_transform(
     program: &CompiledProgram,
     goal: PredId,
     pattern: &Adornment,
-    opts: &MagicOptions,
 ) -> MagicProgram {
     let n = program.preds.len();
     let mut has_clause = vec![false; n];
@@ -279,10 +261,9 @@ pub fn magic_transform(
     let cone = cone_of(program, goal);
     let schedule = &program.schedule;
 
-    let full_fallback = !opts.danger_skip_fallback
-        && (0..n).any(|p| {
-            cone[p] && schedule.strata[schedule.stratum_of(PredId(p as u32))].domain_sensitive
-        });
+    let full_fallback = (0..n).any(|p| {
+        cone[p] && schedule.strata[schedule.stratum_of(PredId(p as u32))].domain_sensitive
+    });
 
     // F: predicates evaluated in full. Seeded by constructive cone strata
     // and by clauses too long to guard, then closed downward (stratum
@@ -290,7 +271,7 @@ pub fn magic_transform(
     let mut full = vec![false; n];
     if full_fallback {
         full.copy_from_slice(&has_clause[..n]);
-    } else if !opts.danger_skip_fallback {
+    } else {
         let mut stack = Vec::new();
         for p in 0..n {
             if cone[p]
@@ -362,9 +343,7 @@ pub fn magic_transform(
             args: bound_args(&src.head, &ac.adornment),
         };
         let mut body = Vec::with_capacity(src.body.len() + 1);
-        if !opts.danger_drop_magic_guard {
-            body.push(CBody::Atom(guard.clone()));
-        }
+        body.push(CBody::Atom(guard.clone()));
         body.extend(src.body.iter().cloned());
         clauses.push(synth_clause(src.head.clone(), body, src));
         // Magic rules: one per demanded body atom, deriving its demand

@@ -27,7 +27,7 @@
 //!
 //! The search is also **allocation-free in its steady state**: one scratch
 //! [`Bindings`] per clause evaluation, mutated in place through a bind/undo
-//! [`Trail`] (no `Bindings` clone per candidate substitution), the
+//! trail (no `Bindings` clone per candidate substitution), the
 //! unsolved-literal set as a `u128` bitmask, and join candidates taken as
 //! borrowed slices from the fact store's column indexes. Alternative
 //! solutions are delivered through continuations instead of result vectors.

@@ -13,12 +13,12 @@
 //! Every round runs in two phases:
 //!
 //! 1. **Match** — parallel, read-only on shared state. The round's work is
-//!    split into [`MatchTask`]s (one clause, optionally restricted to a
+//!    split into *match tasks* (one clause, optionally restricted to a
 //!    fixed-size chunk of one body literal's semi-naive delta, or to a
 //!    chunk of DRed's re-derivation goals). Each task runs the matcher
 //!    over shared `&SeqStore`/`&FactStore`/`&ExtendedDomain` borrows and
 //!    emits *recipes* (fully bound substitutions, flat in a per-task
-//!    [`RecipeBuf`]). Nothing shared is mutated, which is why tasks can
+//!    buffer). Nothing shared is mutated, which is why tasks can
 //!    run on [`EvalConfig::threads`] worker threads (`std::thread::scope`)
 //!    with no synchronization beyond a task counter. The buffers come back
 //!    in task order, whichever worker ran which task.
@@ -53,8 +53,7 @@
 //! The hot loop never touches a predicate-name `String`:
 //!
 //! * compilation interns every predicate to a dense
-//!   [`PredId`](crate::compile::PredId) in the program's
-//!   [`PredTable`](crate::compile::PredTable);
+//!   [`PredId`] in the program's [`PredTable`];
 //! * the [`FactStore`] is a `Vec<Relation>` indexed by `PredId` (the store's
 //!   table starts as a copy of the program's, so compiled ids index it
 //!   directly; database-only predicates extend it at seeding);
@@ -148,19 +147,18 @@ pub struct EvalConfig {
     /// sequential, and the result is identical for every setting — see the
     /// module docs on determinism.
     pub threads: usize,
-    /// Test-only: run the match phase on multiple workers even for rounds
-    /// below [`PAR_THRESHOLD`]. The fuzz suites set this to drive their
-    /// (small) generated cases through the multi-worker match; results
-    /// must still be bit-for-bit identical.
-    #[doc(hidden)]
-    pub danger_force_parallel: bool,
-    /// Test-only: skip the compile-time transducer-fusion pass
-    /// ([`crate::analysis::fuse`]) and evaluate chained transducer calls
-    /// stage by stage. Fusion is a pure rewrite, so the extent must be
-    /// bit-for-bit identical with this flag on or off — the differential
-    /// fuzz suite drives both sides through this switch.
-    #[doc(hidden)]
-    pub danger_disable_fusion: bool,
+    /// Smallest estimated candidate-tuple count of a round for which the
+    /// match phase spawns workers (default 4096; `0` sends every round
+    /// with more than one task to the multi-worker match). Purely a
+    /// dispatch decision: the task list and recipe order are the same on
+    /// either side of it, so results never depend on it.
+    pub parallel_threshold: usize,
+    /// Run the compile-time transducer-fusion pass
+    /// ([`crate::analysis::fuse`]) when a session opens (default `true`).
+    /// With `false`, chained transducer calls are evaluated stage by stage.
+    /// Fusion is a pure rewrite, so the extent is bit-for-bit identical
+    /// either way.
+    pub fusion: bool,
 }
 
 impl Default for EvalConfig {
@@ -173,8 +171,8 @@ impl Default for EvalConfig {
             max_seq_len: 65_536,
             exec_limits: ExecLimits::default(),
             threads: 0,
-            danger_force_parallel: false,
-            danger_disable_fusion: false,
+            parallel_threshold: 4096,
+            fusion: true,
         }
     }
 }
@@ -764,18 +762,6 @@ impl Fixpoint {
         self.facts.insert(pred, tuple);
     }
 
-    /// Test-only mutant for the recovery harness: pretend every loaded
-    /// fact has already been processed (stale watermarks). A correct
-    /// restore leaves pending facts beyond the watermarks; this erases
-    /// them from the next run's delta, which the recovery fuzz oracle must
-    /// detect as missing derivations.
-    #[doc(hidden)]
-    pub fn force_settled_watermarks(&mut self) {
-        self.sizes_done = self.facts.sizes();
-        self.domain_done = self.domain.len();
-        self.virgin = false;
-    }
-
     /// Drive the round loop to quiescence, resuming from the
     /// facts asserted since the last run (they — plus any domain growth —
     /// are the first resumed round's delta). On a fresh state this is
@@ -791,7 +777,7 @@ impl Fixpoint {
     /// [`crate::session::EngineSession`] nevertheless poisons on error;
     /// retrying is a `Fixpoint`-level affordance.
     ///
-    /// There is one round loop ([`Fixpoint::run_stratified`]).
+    /// There is one round loop (`Fixpoint::run_stratified`).
     /// [`Strategy::SemiNaive`] walks the program's SCC condensation in
     /// topological order; [`Strategy::Naive`] runs the same loop over a
     /// single stratum holding every clause, planning every clause in full
@@ -1412,12 +1398,6 @@ fn default_threads() -> usize {
     *N.get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
 }
 
-/// Minimum estimated candidate-tuple count in a round before the match
-/// phase pays for spawning workers. Purely a dispatch decision: above or
-/// below the threshold, the task list and recipe order are the same, so
-/// results never depend on it.
-const PAR_THRESHOLD: usize = 4096;
-
 /// Rough work estimate for one task, in candidate tuples.
 fn task_cost(
     program: &CompiledProgram,
@@ -1491,7 +1471,7 @@ fn match_eval_round(
         );
         buf
     };
-    if workers <= 1 || (estimated < PAR_THRESHOLD && !config.danger_force_parallel) {
+    if workers <= 1 || estimated < config.parallel_threshold {
         return tasks.iter().map(run_one).collect();
     }
     let next = AtomicUsize::new(0);

@@ -171,7 +171,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::analysis::magic::{magic_transform, MagicOptions, MagicProgram};
+use crate::analysis::magic::{magic_transform, MagicProgram};
 use crate::analysis::Bind;
 use crate::ast::Program;
 use crate::compile::{compile, CompiledProgram, PredId};
@@ -203,19 +203,6 @@ pub struct DurabilityOptions {
     pub sync_data: bool,
     /// Snapshots retained after a new one is written.
     pub snapshots_kept: usize,
-    /// Test-only mutant: skip WAL checksum verification. Exists so the
-    /// recovery fuzz harness can prove its oracle catches a weakened
-    /// reader; never set in production.
-    #[doc(hidden)]
-    pub danger_skip_crc: bool,
-    /// Test-only mutant: treat a torn tail as a hard error instead of
-    /// truncating it.
-    #[doc(hidden)]
-    pub danger_skip_tail_truncation: bool,
-    /// Test-only mutant: restore snapshots with stale (fully caught-up)
-    /// watermarks, erasing pending facts from the next run's delta.
-    #[doc(hidden)]
-    pub danger_stale_watermarks: bool,
 }
 
 impl Default for DurabilityOptions {
@@ -224,18 +211,6 @@ impl Default for DurabilityOptions {
             snapshot_every: 64,
             sync_data: false,
             snapshots_kept: 2,
-            danger_skip_crc: false,
-            danger_skip_tail_truncation: false,
-            danger_stale_watermarks: false,
-        }
-    }
-}
-
-impl DurabilityOptions {
-    fn read_options(&self) -> WalReadOptions {
-        WalReadOptions {
-            danger_verify_crc: !self.danger_skip_crc,
-            danger_truncate_torn_tail: !self.danger_skip_tail_truncation,
         }
     }
 }
@@ -354,7 +329,7 @@ impl EngineSession {
             &registry,
             &crate::analysis::FuseLimits::default(),
         );
-        if !config.danger_disable_fusion {
+        if config.fusion {
             if let Some((rewritten, machines)) = pass.fused {
                 compiled = rewritten;
                 for (name, machine) in machines {
@@ -400,7 +375,7 @@ impl EngineSession {
     /// the engine's registry is exactly the one it was opened with.
     pub(crate) fn into_parts(self) -> (Engine, Model) {
         let mut registry = self.registry;
-        if !self.config.danger_disable_fusion {
+        if self.config.fusion {
             for d in &self.fusion_decisions {
                 if d.applied && d.clause.is_some() {
                     registry.unregister(&d.fused_name);
@@ -522,7 +497,8 @@ impl EngineSession {
         drop(fresh);
         fs::rename(&tmp, &wal_path)
             .map_err(|e| EvalError::Recovery(RecoveryError::io("rename compacted log", &e)))?;
-        let contents = read_wal(&wal_path, &d.opts.read_options()).map_err(EvalError::Recovery)?;
+        let contents =
+            read_wal(&wal_path, &WalReadOptions::default()).map_err(EvalError::Recovery)?;
         d.wal = WalWriter::reopen(&wal_path, &contents, d.opts.sync_data)
             .map_err(EvalError::Recovery)?;
         Ok(())
@@ -655,7 +631,8 @@ impl EngineSession {
     /// any error `self` is untouched.
     fn attach_recover(&mut self, dir: PathBuf, opts: DurabilityOptions) -> Result<(), EvalError> {
         let wal_path = dir.join(WAL_FILE);
-        let contents = read_wal(&wal_path, &opts.read_options()).map_err(EvalError::Recovery)?;
+        let contents =
+            read_wal(&wal_path, &WalReadOptions::default()).map_err(EvalError::Recovery)?;
         let last_index = contents.base_index + contents.records.len() as u64;
 
         // Newest snapshot consistent with the log. A snapshot claiming
@@ -704,7 +681,7 @@ impl EngineSession {
             .iter()
             .filter(|r| r.index >= snap.covered)
             .collect();
-        let mut scratch = self.rebuild_scratch(&snap, &snap_path, &opts)?;
+        let mut scratch = self.rebuild_scratch(&snap, &snap_path)?;
         let mut next_index = last_index;
         let mut truncate_at = None;
         if let Err((k, e)) = replay_records(&mut scratch, &tail, u64::MAX) {
@@ -719,7 +696,7 @@ impl EngineSession {
                      committed history"
                 )));
             }
-            scratch = self.rebuild_scratch(&snap, &snap_path, &opts)?;
+            scratch = self.rebuild_scratch(&snap, &snap_path)?;
             replay_records(&mut scratch, &tail, k).map_err(|(i, e2)| {
                 mismatch(&format!("log record {i} failed prefix replay: {e2}"))
             })?;
@@ -761,11 +738,8 @@ impl EngineSession {
         &self,
         snap: &SessionSnapshot,
         snap_path: &Path,
-        opts: &DurabilityOptions,
     ) -> Result<EngineSession, EvalError> {
-        let (alphabet, mut store, fx) = snap
-            .install(snap_path, opts.danger_stale_watermarks)
-            .map_err(EvalError::Recovery)?;
+        let (alphabet, mut store, fx) = snap.install(snap_path).map_err(EvalError::Recovery)?;
         if !self.program.preds.is_prefix_of(fx.facts().preds()) {
             return Err(mismatch(
                 "program predicates are not a prefix of the persisted predicate table",
@@ -889,14 +863,16 @@ impl EngineSession {
     }
 
     /// Intern a logged tuple (per-argument symbol names), enforcing
-    /// `max_seq_len` eagerly like [`intern_tuple`](Self::intern_tuple).
+    /// `max_seq_len` before interning, as the string assert paths do
+    /// ([`check_arg_lens`](Self::check_arg_lens)).
     fn intern_logged_tuple(&mut self, args: &[Vec<String>]) -> Result<Vec<SeqId>, EvalError> {
+        for names in args {
+            self.check_seq_len(names.len())?;
+        }
         let mut tuple: Vec<SeqId> = Vec::with_capacity(args.len());
         for names in args {
             let syms: Vec<Sym> = names.iter().map(|n| self.alphabet.intern(n)).collect();
-            let id = self.store.intern_vec(syms);
-            self.check_seq_budget(id)?;
-            tuple.push(id);
+            tuple.push(self.store.intern_vec(syms));
         }
         Ok(tuple)
     }
@@ -941,16 +917,25 @@ impl EngineSession {
         Ok(())
     }
 
-    /// Intern string arguments as a tuple, enforcing `max_seq_len` eagerly.
-    fn intern_tuple(&mut self, args: &[&str]) -> Result<Vec<SeqId>, EvalError> {
-        let mut tuple: Vec<SeqId> = Vec::with_capacity(args.len());
+    /// Refuse string arguments longer than `max_seq_len`, before any of
+    /// them interns a symbol or a sequence.
+    fn check_arg_lens(&self, args: &[&str]) -> Result<(), EvalError> {
         for s in args {
-            let syms = self.alphabet.seq_of_str(s);
-            let id = self.store.intern_vec(syms);
-            self.check_seq_budget(id)?;
-            tuple.push(id);
+            self.check_seq_len(s.chars().count())?;
         }
-        Ok(tuple)
+        Ok(())
+    }
+
+    /// Intern string arguments as a tuple. Callers check the lengths first
+    /// ([`check_arg_lens`](Self::check_arg_lens)), so a refused tuple
+    /// leaves the alphabet and the store as they were.
+    fn intern_tuple(&mut self, args: &[&str]) -> Vec<SeqId> {
+        args.iter()
+            .map(|s| {
+                let syms = self.alphabet.seq_of_str(s);
+                self.store.intern_vec(syms)
+            })
+            .collect()
     }
 
     /// One assert with **exact** cumulative-budget enforcement: a fact that
@@ -1025,9 +1010,9 @@ impl EngineSession {
     /// quadratic window closure; the session stays healthy).
     pub fn assert_seq(&mut self, text: &str) -> Result<SeqId, EvalError> {
         self.guard_poison()?;
+        self.check_arg_lens(&[text])?;
         let syms = self.alphabet.seq_of_str(text);
         let id = self.store.intern_vec(syms);
-        self.check_seq_budget(id)?;
         self.store.close_windows(id);
         Ok(id)
     }
@@ -1041,7 +1026,8 @@ impl EngineSession {
     /// exactly (state untouched, session not poisoned).
     pub fn assert_fact(&mut self, pred: &str, args: &[&str]) -> Result<bool, EvalError> {
         self.guard_poison()?;
-        let tuple = self.intern_tuple(args)?;
+        self.check_arg_lens(args)?;
+        let tuple = self.intern_tuple(args);
         if self.durability.is_some() {
             let rec = WalRecord::AssertBatch(vec![logged_fact_strs(pred, args)]);
             self.log_record(&rec)?;
@@ -1063,6 +1049,11 @@ impl EngineSession {
     /// before the call; on a poisoned session nothing is applied either.
     pub fn assert_facts(&mut self, facts: &[(&str, &[&str])]) -> Result<usize, EvalError> {
         self.guard_poison()?;
+        // An oversized argument anywhere refuses the batch before logging
+        // and before an earlier fact interns its values.
+        for (_, args) in facts {
+            self.check_arg_lens(args)?;
+        }
         if self.durability.is_some() && !facts.is_empty() {
             let rec = WalRecord::AssertBatch(
                 facts
@@ -1075,11 +1066,9 @@ impl EngineSession {
         let mut applied: Vec<(PredId, Box<[SeqId]>, AssertOutcome)> = Vec::new();
         let mut added = 0;
         for (pred, args) in facts {
-            let step = self.intern_tuple(args).and_then(|tuple| {
-                let pid = self.fx.pred_id(pred);
-                self.assert_batch_step(pid, tuple.into(), &mut applied)
-            });
-            match step {
+            let tuple = self.intern_tuple(args);
+            let pid = self.fx.pred_id(pred);
+            match self.assert_batch_step(pid, tuple.into(), &mut applied) {
                 Ok(n) => added += n,
                 Err(e) => {
                     self.rollback_asserts(&applied);
@@ -1373,29 +1362,24 @@ impl EngineSession {
         pred: &str,
         pattern: &[Bind<'_>],
     ) -> Result<Vec<Vec<String>>, EvalError> {
-        self.query_bound_instrumented(pred, pattern, &MagicOptions::default())
+        self.query_bound_instrumented(pred, pattern)
             .map(|r| r.answers)
     }
 
-    /// [`query_bound`](EngineSession::query_bound) with explicit
-    /// [`MagicOptions`] and scratch-evaluation statistics — the demand
-    /// fuzz harness's hook for mutation testing. Non-default options
-    /// bypass the adornment cache and always take the scratch route, even
-    /// on a settled session; [`DemandAnswer::evaluated`] reports which
-    /// route answered.
+    /// [`query_bound`](EngineSession::query_bound) with the scratch
+    /// evaluation's statistics, which the demand fuzz harness bounds;
+    /// [`DemandAnswer::evaluated`] reports which route answered.
     #[doc(hidden)]
     pub fn query_bound_instrumented(
         &mut self,
         pred: &str,
         pattern: &[Bind<'_>],
-        opts: &MagicOptions,
     ) -> Result<DemandAnswer, EvalError> {
         self.guard_poison()?;
         // The scratch runs only for a goal some clause derives into, on a
         // session whose relations may still lack part of its extent.
         let scratch_goal = self.program.preds.lookup(pred).filter(|&g| {
-            self.program.clauses.iter().any(|c| c.head.pred == g)
-                && (!self.fx.is_settled() || *opts != MagicOptions::default())
+            self.program.clauses.iter().any(|c| c.head.pred == g) && !self.fx.is_settled()
         });
         let Some(goal) = scratch_goal else {
             // An asserted-only or unknown predicate, or a settled session:
@@ -1450,15 +1434,10 @@ impl EngineSession {
             .map(|b| matches!(b, Bind::Bound(_)))
             .collect();
         let program = &self.program;
-        let fresh;
-        let magic: &MagicProgram = if *opts == MagicOptions::default() {
-            self.demand_cache
-                .entry((goal, mask))
-                .or_insert_with(|| magic_transform(program, goal, &adornment, opts))
-        } else {
-            fresh = magic_transform(program, goal, &adornment, opts);
-            &fresh
-        };
+        let magic: &MagicProgram = self
+            .demand_cache
+            .entry((goal, mask))
+            .or_insert_with(|| magic_transform(program, goal, &adornment));
         for id in magic.program.constants() {
             self.store.close_windows(id);
         }
@@ -1761,13 +1740,41 @@ mod tests {
         s
     }
 
+    #[test]
+    fn refused_oversized_asserts_intern_nothing() {
+        let mut e = Engine::new();
+        let program = e.parse_program("p(X) :- r(X).").unwrap();
+        let config = EvalConfig {
+            max_seq_len: 64,
+            ..EvalConfig::default()
+        };
+        let mut s = e.into_session(&program, config).unwrap();
+        s.assert_fact("r", &["ab"]).unwrap();
+        let (seqs, syms) = (s.store.count(), s.alphabet.len());
+        // New letters, so interning even one symbol would show.
+        let long = "xyz".repeat(67);
+        let refused = |r: Result<_, EvalError>| {
+            matches!(
+                r,
+                Err(EvalError::Budget {
+                    kind: BudgetKind::SeqLen,
+                    ..
+                })
+            )
+        };
+        assert!(refused(s.assert_fact("r", &[&long]).map(drop)));
+        assert!(refused(
+            s.assert_facts(&[("r", &["xy"]), ("r", &[&long])]).map(drop)
+        ));
+        assert!(refused(s.assert_seq(&long).map(drop)));
+        assert_eq!(s.store.count(), seqs);
+        assert_eq!(s.alphabet.len(), syms);
+        assert!(!s.is_poisoned());
+    }
+
     fn probe(s: &mut EngineSession, pred: &str, key: &str) -> DemandAnswer {
-        s.query_bound_instrumented(
-            pred,
-            &[Bind::Bound(key), Bind::Free],
-            &MagicOptions::default(),
-        )
-        .unwrap()
+        s.query_bound_instrumented(pred, &[Bind::Bound(key), Bind::Free])
+            .unwrap()
     }
 
     #[test]

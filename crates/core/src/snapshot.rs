@@ -38,6 +38,13 @@
 //! the previous snapshot intact; `covered` (the absolute count of log
 //! records the snapshot includes) is embedded in the file name —
 //! `snap-<covered>.bin` — and the two newest snapshots are retained.
+//!
+//! The watermarks matter: a snapshot taken between an assert and its
+//! `run` must restore the assert as pending, or the next run loses its
+//! delta. `tests/fuzz_recovery.rs` pins that case, and
+//! `scripts/mutants/stale_watermarks.patch` (run by
+//! `scripts/mutation_check.sh`) shows a restore that marks every fact as
+//! processed fails it.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
@@ -356,15 +363,7 @@ impl SessionSnapshot {
     /// inside [`Fixpoint::restore`] (never deserialized); the recorded
     /// member order is then re-imposed, but only after verifying it is
     /// exactly a permutation of that rebuilt closure.
-    ///
-    /// `stale_watermarks` is a test-only mutant (see
-    /// [`crate::wal::WalReadOptions`]): it marks every loaded fact as
-    /// already processed, which the recovery fuzz oracle must catch.
-    pub fn install(
-        &self,
-        path: &Path,
-        stale_watermarks: bool,
-    ) -> Result<(Alphabet, SeqStore, Fixpoint), RecoveryError> {
+    pub fn install(&self, path: &Path) -> Result<(Alphabet, SeqStore, Fixpoint), RecoveryError> {
         let bad = |detail: String| RecoveryError::corrupt(path, detail);
         let mut alphabet = Alphabet::new();
         for (i, name) in self.alphabet.iter().enumerate() {
@@ -463,9 +462,6 @@ impl SessionSnapshot {
             return Err(bad(
                 "domain order is not a permutation of the rebuilt extended domain".to_string(),
             ));
-        }
-        if stale_watermarks {
-            fx.force_settled_watermarks();
         }
         Ok((alphabet, store, fx))
     }

@@ -32,6 +32,11 @@
 //! decode failure anywhere *before* the end is not a torn write and
 //! surfaces as [`RecoveryError::Corrupt`]: silently dropping interior
 //! records would replay a history that never happened.
+//!
+//! Both rules are pinned in `tests/fuzz_recovery.rs`, and
+//! `scripts/mutation_check.sh` shows a reader that breaks either one
+//! (`scripts/mutants/skip_tail_truncation.patch`,
+//! `scripts/mutants/skip_crc.patch`) fails those tests.
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -347,27 +352,11 @@ pub fn decode_record(payload: &[u8]) -> Result<WalRecord, String> {
 
 // --- reading ---
 
-/// How to read a log. The `danger_*` fields weaken the reader and exist
-/// **only** so the recovery fuzz harness can prove its oracle catches a
-/// weakened implementation (mutation testing); production code never sets
-/// them.
-#[derive(Clone, Copy, Debug)]
-pub struct WalReadOptions {
-    /// Verify each record's checksum (mutant: `false` skips verification).
-    pub danger_verify_crc: bool,
-    /// Truncate a torn tail instead of failing (mutant: `false` turns any
-    /// torn tail into a hard error).
-    pub danger_truncate_torn_tail: bool,
-}
-
-impl Default for WalReadOptions {
-    fn default() -> Self {
-        Self {
-            danger_verify_crc: true,
-            danger_truncate_torn_tail: true,
-        }
-    }
-}
+/// How to read a log. There is nothing to choose today: a reader always
+/// verifies every checksum and truncates a torn tail. The type stays so
+/// that callers of [`read_wal`] keep one stable signature.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct WalReadOptions {}
 
 /// One decoded record plus where it sits in the file.
 #[derive(Clone, Debug)]
@@ -398,7 +387,7 @@ pub struct WalContents {
 /// final frame failing its checksum) is reported via
 /// [`WalContents::truncated_at`]; any earlier inconsistency is a
 /// [`RecoveryError::Corrupt`].
-pub fn read_wal(path: &Path, opts: &WalReadOptions) -> Result<WalContents, RecoveryError> {
+pub fn read_wal(path: &Path, _opts: &WalReadOptions) -> Result<WalContents, RecoveryError> {
     let mut bytes = Vec::new();
     File::open(path)
         .and_then(|mut f| f.read_to_end(&mut bytes))
@@ -413,18 +402,9 @@ pub fn read_wal(path: &Path, opts: &WalReadOptions) -> Result<WalContents, Recov
     let mut truncated_at = None;
     while off < bytes.len() {
         let remaining = bytes.len() - off;
-        let torn = |detail: &str| -> Result<Option<u64>, RecoveryError> {
-            if opts.danger_truncate_torn_tail {
-                Ok(Some(off as u64))
-            } else {
-                Err(RecoveryError::corrupt(
-                    path,
-                    format!("torn tail at offset {off}: {detail}"),
-                ))
-            }
-        };
         if remaining < FRAME_LEN {
-            truncated_at = torn("incomplete frame header")?;
+            // An incomplete frame header.
+            truncated_at = Some(off as u64);
             break;
         }
         let len = u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes"));
@@ -433,18 +413,18 @@ pub fn read_wal(path: &Path, opts: &WalReadOptions) -> Result<WalContents, Recov
             // Either a partially written frame or a flipped length field;
             // both leave the record extending past EOF, which only a torn
             // write can produce legitimately.
-            truncated_at = torn("record extends past end of file")?;
+            truncated_at = Some(off as u64);
             break;
         }
         let start = off;
         let payload = &bytes[off + FRAME_LEN..off + FRAME_LEN + len as usize];
         let end = off + FRAME_LEN + len as usize;
-        if opts.danger_verify_crc && crc32(payload) != crc {
+        if crc32(payload) != crc {
             if end == bytes.len() {
                 // A final frame whose bytes are all present but whose
                 // checksum fails is still a torn write (the frame header
                 // landed, part of the payload did not).
-                truncated_at = torn("checksum failure on final record")?;
+                truncated_at = Some(off as u64);
                 break;
             }
             return Err(RecoveryError::corrupt(
@@ -681,15 +661,6 @@ mod tests {
         let contents = read_wal(&path, &WalReadOptions::default()).unwrap();
         assert_eq!(contents.records.len(), recs.len() - 1);
         assert!(contents.truncated_at.is_some());
-        // Strict mode (the skip-truncation mutant's complement) refuses.
-        let strict = WalReadOptions {
-            danger_truncate_torn_tail: false,
-            ..WalReadOptions::default()
-        };
-        assert!(matches!(
-            read_wal(&path, &strict),
-            Err(RecoveryError::Corrupt { .. })
-        ));
         // Reopening truncates and appends a clean record after the cut.
         let mut w = WalWriter::reopen(&path, &contents, false).unwrap();
         assert_eq!(w.next_index(), recs.len() as u64 - 1);
@@ -718,18 +689,6 @@ mod tests {
             read_wal(&path, &WalReadOptions::default()),
             Err(RecoveryError::Corrupt { .. })
         ));
-        // The skip-checksum mutant sails past the flip (decoding garbage or
-        // a silently different record) — exactly what the harness's
-        // mutation tests must catch at the model level.
-        let weak = WalReadOptions {
-            danger_verify_crc: false,
-            ..WalReadOptions::default()
-        };
-        match read_wal(&path, &weak) {
-            Ok(c) => assert_eq!(c.records.len(), sample_records().len()),
-            Err(RecoveryError::Corrupt { .. }) => {}
-            Err(e) => panic!("unexpected error: {e}"),
-        }
         std::fs::remove_file(&path).unwrap();
     }
 

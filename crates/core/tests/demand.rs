@@ -4,7 +4,6 @@
 //! scratch route would exceed), and the byte-identity pin between
 //! demand-mode and batch-mode renderings.
 
-use seqlog_core::analysis::magic::MagicOptions;
 use seqlog_core::analysis::Bind;
 use seqlog_core::database::Database;
 use seqlog_core::engine::Engine;
@@ -86,11 +85,7 @@ fn demand_never_mutates_session_state() {
 fn demand_is_selective_on_the_chain() {
     let mut s = chain_session();
     let r = s
-        .query_bound_instrumented(
-            "anc",
-            &[Bind::Bound("p"), Bind::Free],
-            &MagicOptions::default(),
-        )
+        .query_bound_instrumented("anc", &[Bind::Bound("p"), Bind::Free])
         .unwrap();
     assert!(r.evaluated);
     assert_eq!(r.answers.len(), 2); // p->q, p->r
@@ -222,21 +217,13 @@ fn asserted_only_and_unknown_predicates_short_circuit() {
     let mut s = chain_session();
     s.assert_fact("extra", &["u", "v"]).unwrap();
     let r = s
-        .query_bound_instrumented(
-            "extra",
-            &[Bind::Bound("u"), Bind::Free],
-            &MagicOptions::default(),
-        )
+        .query_bound_instrumented("extra", &[Bind::Bound("u"), Bind::Free])
         .unwrap();
     assert!(!r.evaluated);
     assert_eq!(r.answers, vec![vec!["u".to_string(), "v".to_string()]]);
     // edge heads no clause: also a direct filter, no evaluation.
     let r = s
-        .query_bound_instrumented(
-            "edge",
-            &[Bind::Bound("a"), Bind::Free],
-            &MagicOptions::default(),
-        )
+        .query_bound_instrumented("edge", &[Bind::Bound("a"), Bind::Free])
         .unwrap();
     assert!(!r.evaluated);
     assert_eq!(r.answers, vec![vec!["a".to_string(), "b".to_string()]]);
@@ -310,12 +297,8 @@ fn demand_works_on_unsettled_and_mid_stream_sessions() {
 // ---------------------------------------------------------------------------
 
 fn probe(s: &mut EngineSession, key: &str) -> DemandAnswer {
-    s.query_bound_instrumented(
-        "anc",
-        &[Bind::Bound(key), Bind::Free],
-        &MagicOptions::default(),
-    )
-    .unwrap()
+    s.query_bound_instrumented("anc", &[Bind::Bound(key), Bind::Free])
+        .unwrap()
 }
 
 /// The settled route's contract: no scratch evaluation, and exactly the
@@ -341,9 +324,7 @@ fn fresh_session_runs_its_ground_clauses_before_answering() {
     let program = e.parse_program("seed(\"ab\") :- true.").unwrap();
     let mut s = e.into_session(&program, EvalConfig::default()).unwrap();
     assert!(!s.is_settled());
-    let r = s
-        .query_bound_instrumented("seed", &[Bind::Free], &MagicOptions::default())
-        .unwrap();
+    let r = s.query_bound_instrumented("seed", &[Bind::Free]).unwrap();
     assert!(r.evaluated);
     assert_eq!(r.answers, vec![vec!["ab".to_string()]]);
 }

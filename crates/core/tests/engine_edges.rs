@@ -428,12 +428,14 @@ fn wide_round_landing_exactly_on_the_facts_budget_succeeds_at_every_thread_count
     }
     let configs = |max_facts: usize| {
         [1usize, 2, 4, 8].into_iter().flat_map(move |threads| {
-            [false, true].into_iter().map(move |force| EvalConfig {
-                threads,
-                max_facts,
-                danger_force_parallel: force,
-                ..EvalConfig::default()
-            })
+            [EvalConfig::default().parallel_threshold, 0]
+                .into_iter()
+                .map(move |parallel_threshold| EvalConfig {
+                    threads,
+                    max_facts,
+                    parallel_threshold,
+                    ..EvalConfig::default()
+                })
         })
     };
 
@@ -516,7 +518,7 @@ fn evaluate_hands_back_the_registry_without_fused_machines() {
     );
     // And again with fusion off: nothing is registered or dropped either.
     let off = EvalConfig {
-        danger_disable_fusion: true,
+        fusion: false,
         ..EvalConfig::default()
     };
     e.evaluate_with(&p, &db, &off).unwrap();

@@ -8,7 +8,7 @@
 //! fallback).  Any change to adornment order, SIP choice, guard
 //! placement, or fallback scoping shows up here as a readable diff.
 
-use seqlog_core::analysis::magic::{magic_transform, MagicOptions, MagicProgram};
+use seqlog_core::analysis::magic::{magic_transform, MagicProgram};
 use seqlog_core::analysis::Adornment;
 use seqlog_core::compile::compile;
 use seqlog_core::engine::Engine;
@@ -18,12 +18,7 @@ fn transform(src: &str, goal: &str, mask: &[bool]) -> MagicProgram {
     let program = e.parse_program(src).unwrap();
     let compiled = compile(&program).unwrap();
     let g = compiled.preds.lookup(goal).unwrap();
-    magic_transform(
-        &compiled,
-        g,
-        &Adornment::from_mask(mask),
-        &MagicOptions::default(),
-    )
+    magic_transform(&compiled, g, &Adornment::from_mask(mask))
 }
 
 fn rendering(m: &MagicProgram) -> String {

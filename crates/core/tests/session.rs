@@ -724,15 +724,16 @@ fn batch_asserts_on_poisoned_sessions_apply_nothing() {
 }
 
 /// Every dispatch configuration the sharded-commit matrix cares about:
-/// thread counts 1/2/4/8 crossed with the forced-parallel hook (which
-/// pushes even sub-threshold rounds through the multi-worker match).
+/// thread counts 1/2/4/8 crossed with the default parallel threshold and
+/// threshold 0 (which pushes even small rounds through the multi-worker
+/// match).
 fn dispatch_matrix() -> Vec<EvalConfig> {
     let mut out = Vec::new();
     for threads in [1usize, 2, 4, 8] {
-        for force in [false, true] {
+        for parallel_threshold in [EvalConfig::default().parallel_threshold, 0] {
             out.push(EvalConfig {
                 threads,
-                danger_force_parallel: force,
+                parallel_threshold,
                 ..EvalConfig::default()
             });
         }
@@ -743,7 +744,7 @@ fn dispatch_matrix() -> Vec<EvalConfig> {
 #[test]
 fn threshold_straddling_runs_are_bit_for_bit_across_dispatch_paths() {
     // Two runs of a quadratic join, sized so the first (virgin) run's
-    // full-round estimate sits far below PAR_THRESHOLD while the second
+    // full-round estimate sits far below the default parallel threshold while the second
     // run's delta round estimates far above it: within one session some
     // rounds dispatch inline and others through the multi-worker match. Both
     // paths must produce identical insertion order and EvalStats, so the

@@ -100,7 +100,7 @@ pub mod collection {
         VecStrategy { elem, size }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         elem: S,
         size: Range<usize>,

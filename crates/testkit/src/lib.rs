@@ -32,7 +32,6 @@ use proptest::collection;
 use proptest::prop_oneof;
 use proptest::strategy::Strategy;
 use proptest::test_runner::TestRng;
-pub use seqlog_core::analysis::magic::MagicOptions;
 pub use seqlog_core::analysis::Bind;
 use seqlog_core::eval::interp::FactStore;
 pub use seqlog_core::session::DemandAnswer;
@@ -1138,7 +1137,6 @@ pub fn demand_outcome(
     pred: &str,
     pattern: &[Option<String>],
     arm: DemandArm,
-    opts: &MagicOptions,
 ) -> Result<DemandRun, String> {
     let fail = |err: EvalError| Outcome::from_error(&err).failure().unwrap().to_string();
     let mut e = Engine::new();
@@ -1173,7 +1171,7 @@ pub fn demand_outcome(
         .lookup(pred)
         .is_some_and(|g| compiled.clauses.iter().any(|c| c.head.pred == g));
     let answer = session
-        .query_bound_instrumented(pred, &as_binds(pattern), opts)
+        .query_bound_instrumented(pred, &as_binds(pattern))
         .map_err(fail)?;
     Ok(DemandRun {
         answer,
@@ -1218,7 +1216,7 @@ pub fn with_chain_clauses(mut case: FuzzCase) -> FuzzCase {
     case
 }
 
-/// Strategy producing random small [`Fst`]s over a symbol universe — the
+/// Strategy producing random small [`Fst`](seqlog_transducer::Fst)s over a symbol universe — the
 /// input machines of the transducer-algebra property suite
 /// (`crates/transducer/tests/algebra.rs`). Machines may be
 /// nondeterministic, carry unreachable or stuck states, and emit 0–2

@@ -182,8 +182,7 @@ impl std::error::Error for MachineError {}
 /// A generalized m-input sequence transducer (Definition 7).
 ///
 /// Construct via [`crate::builder::TransducerBuilder`] or
-/// [`crate::builder::synthesize`]; run via [`Transducer::run`]
-/// (in [`crate::exec`]).
+/// [`crate::builder::synthesize`]; run via [`crate::exec::run`].
 #[derive(Clone)]
 pub struct Transducer {
     /// Human-readable machine name (used in diagnostics and Datalog

@@ -43,7 +43,7 @@
 //! expect no diagnostics), 1 otherwise. `scripts/ci_check.sh` runs this
 //! over every program in `examples/programs/`.
 
-use sequence_datalog::core::analysis::magic::{magic_transform, MagicOptions};
+use sequence_datalog::core::analysis::magic::magic_transform;
 use sequence_datalog::core::analysis::{fuse_program, Adornment, FuseLimits, ProgramReport};
 use sequence_datalog::core::compile::compile;
 use sequence_datalog::core::Engine;
@@ -319,7 +319,7 @@ fn analyze_file(path: &str, cli_adorn: &[AdornSpec], show_machines: bool) -> boo
             continue;
         };
         adorned_any = true;
-        let magic = magic_transform(&compiled, goal, &spec.pattern, &MagicOptions::default());
+        let magic = magic_transform(&compiled, goal, &spec.pattern);
         println!("── demand: {}({}) ──", spec.pred, spec.pattern);
         if magic.full_fallback {
             println!("(domain-sensitive goal cone: full-evaluation fallback)");

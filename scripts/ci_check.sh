@@ -13,21 +13,24 @@
 # demand-driven query oracle (query_bound ≡ filter of the batch fixpoint
 # across every adornment of arity ≤ 3 on three session arms — unsettled,
 # settled, and mid-stream with the last batch pending — with the settled
-# arm answering by index probe, never the scratch, and the
-# transformation's own mutants — dropped magic guard, bypassed fallback —
-# being caught) and its pinned API cases (the settled probe after a
+# arm answering by index probe, never the scratch) and its pinned API cases (the settled probe after a
 # retraction and after recovery, and the point-query budget refusal), the
 # transducer-algebra property suite (trim/determinize/compose/minimize
 # vs the extensional oracle on random machines, with the skip-trim and
 # swapped-composition mutants being caught) and the fusion differential
 # (fusion on ≡ off bit-for-bit at threads 1/2/4/8), the analysis
 # soundness suite (stratified semi-naive ≡ naive extensionally, SL003 and
-# SL004 verdicts sound against evaluation), the perfbench smoke run (every
+# SL004 verdicts sound against evaluation), the mutation check
+# (scripts/mutation_check.sh: each deliberate bug in scripts/mutants/ —
+# a log reader without checksums or tail truncation, a snapshot restore
+# with stale watermarks, a magic rewrite without its guard or fallback, a
+# commit in reverse task order — must apply, compile and fail its named
+# test), the perfbench smoke run (every
 # workload at --size tiny; its batch-eval path is Engine::evaluate_with,
 # the session-backed front door), the SL001..SL009 lint analyzer over the
 # program corpus with machine-level lints, the Fig. 3 / Example 8.1
 # strong-safety audit (examples/safety_audit.rs asserts each verdict),
-# and a zero-warning clippy
+# a zero-warning rustdoc build, and a zero-warning clippy
 # pass over every
 # target. The fuzz
 # generators are seeded from test names (see crates/shims/proptest), so a
@@ -61,8 +64,8 @@ echo "==> cargo test -q --test fuzz_recovery (crash-injection recovery suite:"
 echo "    durable sessions killed at fuzzed WAL byte offsets and record"
 echo "    boundaries, recovered across threads 1/2/4/8, and compared"
 echo "    bit-for-bit against a fresh replay of the surviving log; plus"
-echo "    bit-flip corruption sweeps and the harness's own mutants —"
-echo "    skip-truncation, skip-checksum, stale-watermarks — being caught)"
+echo "    bit-flip corruption sweeps and the pinned torn-tail, interior-flip"
+echo "    and pending-assert cases the mutation check relies on)"
 cargo test -q --test fuzz_recovery
 
 echo "==> sharded-commit threads matrix (explicit): every generated case"
@@ -79,8 +82,8 @@ echo "    populated predicate and every bound/free adornment of arity ≤ 3,"
 echo "    on three session arms — unsettled, settled (an index probe of the"
 echo "    session's relation, evaluated == false), and mid-stream (settled"
 echo "    batches plus a pending one) — bit-for-bit across threads 1/2/4/8"
-echo "    on every arm; plus the transformation mutants — dropped magic"
-echo "    guard, bypassed domain-sensitive fallback — being caught)"
+echo "    on every arm; plus the pinned selectivity and fallback cases the"
+echo "    mutation check relies on)"
 cargo test -q --test fuzz_demand
 
 echo "==> cargo test -q -p seqlog-core --test demand (point-query pins: the"
@@ -111,6 +114,11 @@ echo "    SL003-flagged clauses never contribute, SL004 bodies never match —"
 echo "    200 generated cases per property)"
 cargo test -q --test fuzz_analysis
 
+echo "==> mutation check (scripts/mutation_check.sh): every patch in"
+echo "    scripts/mutants/ applies to a copy of the tree, compiles, and makes"
+echo "    its named test fail; the unpatched copy passes all of them"
+scripts/mutation_check.sh
+
 echo "==> perfbench smoke (cargo test --release --manifest-path"
 echo "    perfbench/Cargo.toml): every workload at --size tiny, traced and"
 echo "    untraced, answers checked against the benchmark's own oracles —"
@@ -129,6 +137,9 @@ cargo run --release -q --example analyze -- --check --machines examples/programs
 echo "==> safety audit (examples/safety_audit.rs): the Fig. 3 / Example 8.1"
 echo "    strong-safety verdicts of Engine::analyze, asserted program by program"
 cargo run --release -q --example safety_audit
+
+echo "==> cargo doc --workspace --no-deps (zero rustdoc warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings

@@ -18,23 +18,30 @@
 //! Thread determinism: the demand route is **bit-for-bit** identical
 //! (answers *and* scratch `EvalStats`) at threads 1/2/4/8, on every arm.
 //!
-//! The harness is mutation-tested at the bottom of this file:
+//! Two pinned cases are the named checks of `scripts/mutation_check.sh`:
 //!
-//! * `danger_drop_magic_guard` (guarded clause variants lose their magic
-//!   guard) keeps answers correct — guards only *restrict* evaluation,
-//!   so dropping them over-approximates back toward the batch fixpoint —
-//!   but must be caught by the selectivity oracle (scratch fact count).
-//! * `danger_skip_fallback` (the domain-sensitive full-fallback gate is
-//!   bypassed) *under*-approximates: a predicate whose extent depends on
-//!   domain growth from outside its cone silently loses answers, the
-//!   exact bug class the gate exists to prevent — caught extent-wise.
+//! * `scripts/mutants/drop_magic_guard.patch` (guarded clause variants
+//!   lose their magic guard) keeps answers correct — guards only
+//!   *restrict* evaluation, so dropping them over-approximates back
+//!   toward the batch fixpoint — but the two-chain scratch's pinned fact
+//!   count catches it (`demand_scratch_stays_in_the_goal_cone`).
+//! * `scripts/mutants/skip_fallback.patch` (the domain-sensitive
+//!   full-fallback gate is bypassed) *under*-approximates: a predicate
+//!   whose extent depends on domain growth from outside its cone silently
+//!   loses answers, the exact bug class the gate exists to prevent —
+//!   caught extent-wise (`pinned_gd_with_outside_cone_construction`;
+//!   `mutant_skipped_fallback_is_caught_by_extents` checks that the gate
+//!   fires there and that the cone alone loses the answer).
 
 use proptest::prelude::*;
 use seqlog_testkit::{
     batch_outcome, cases, demand_outcome, demand_probes, filtered_extent, Bind, DemandArm,
-    FuzzCase, MagicOptions, DEMAND_ARMS,
+    FuzzCase, DEMAND_ARMS,
 };
-use sequence_datalog::core::{EngineSession, EvalConfig};
+use sequence_datalog::core::analysis::magic::magic_transform;
+use sequence_datalog::core::analysis::Adornment;
+use sequence_datalog::core::compile::compile;
+use sequence_datalog::core::EvalConfig;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -50,7 +57,7 @@ proptest! {
         for (pred, pattern) in demand_probes(&extents) {
             let expected = filtered_extent(&extents, &pred, &pattern);
             for arm in DEMAND_ARMS {
-                let got = demand_outcome(&case, &config, &pred, &pattern, arm, &MagicOptions::default())
+                let got = demand_outcome(&case, &config, &pred, &pattern, arm)
                     .unwrap_or_else(|err| panic!("demand route failed ({err}):\n{case}"));
                 prop_assert_eq!(
                     &got.answer.answers,
@@ -86,7 +93,7 @@ proptest! {
         for (pred, pattern) in demand_probes(&extents) {
             for arm in DEMAND_ARMS {
                 let run = |t: usize| {
-                    demand_outcome(&case, &EvalConfig::with_threads(t), &pred, &pattern, arm, &MagicOptions::default())
+                    demand_outcome(&case, &EvalConfig::with_threads(t), &pred, &pattern, arm)
                         .unwrap_or_else(|err| panic!("demand route failed ({err}):\n{case}"))
                 };
                 let reference = run(1);
@@ -114,6 +121,7 @@ proptest! {
 /// Ground-domain-sensitive goal (`gd0(X, X) :- true.`) composed with a
 /// constructive clause *outside* its cone: demand must fall back to the
 /// full fixpoint or it misses the diagonal pair over the constructed word.
+/// Fails under `skip_fallback.patch`.
 #[test]
 fn pinned_gd_with_outside_cone_construction() {
     let case = FuzzCase {
@@ -131,7 +139,6 @@ fn pinned_gd_with_outside_cone_construction() {
         "gd0",
         &pattern,
         DemandArm::Unsettled,
-        &MagicOptions::default(),
     )
     .unwrap()
     .answer;
@@ -139,6 +146,52 @@ fn pinned_gd_with_outside_cone_construction() {
     assert!(got
         .answers
         .contains(&vec!["abab".to_string(), "abab".to_string()]));
+}
+
+/// The catch power behind `pinned_gd_with_outside_cone_construction`:
+/// the gate fires for this goal, and what a bypassed gate computes — the
+/// goal's cone alone, without the constructive clause that grows the
+/// domain — *loses* the diagonal pair over the constructed word. So the
+/// extent oracle sees the under-approximation that
+/// `skip_fallback.patch` introduces.
+#[test]
+fn mutant_skipped_fallback_is_caught_by_extents() {
+    let program = "dbl0(X ++ X) :- r0(X).\ngd0(X, X) :- true.\n";
+    let mut e = sequence_datalog::core::Engine::new();
+    let compiled = compile(&e.parse_program(program).unwrap()).unwrap();
+    let goal = compiled.preds.lookup("gd0").unwrap();
+    let magic = magic_transform(&compiled, goal, &Adornment::from_mask(&[false, false]));
+    assert!(magic.full_fallback, "the domain-sensitive cone must fall back");
+
+    let batches = vec![vec![("r0".to_string(), "ab".to_string())]];
+    let full = FuzzCase {
+        program: program.into(),
+        batches: batches.clone(),
+    };
+    let cone_only = FuzzCase {
+        program: "gd0(X, X) :- true.\n".into(),
+        batches,
+    };
+    let pattern = vec![None, None];
+    let config = EvalConfig::with_threads(1);
+    let expected = filtered_extent(
+        &batch_outcome(&full, &config).extents_sorted().unwrap(),
+        "gd0",
+        &pattern,
+    );
+    let bypassed = filtered_extent(
+        &batch_outcome(&cone_only, &config).extents_sorted().unwrap(),
+        "gd0",
+        &pattern,
+    );
+    let diagonal = vec!["abab".to_string(), "abab".to_string()];
+    assert!(expected.contains(&diagonal));
+    assert!(
+        !bypassed.contains(&diagonal),
+        "bypassing the fallback gate must lose answers — otherwise the \
+         extent oracle could not catch an under-approximation bug"
+    );
+    assert_ne!(bypassed, expected);
 }
 
 /// Mutual recursion through two predicates (shape 8): the demand cone
@@ -161,7 +214,6 @@ fn pinned_mutual_recursion_demand() {
             &pred,
             &pattern,
             DemandArm::Unsettled,
-            &MagicOptions::default(),
         )
         .unwrap()
         .answer;
@@ -170,19 +222,23 @@ fn pinned_mutual_recursion_demand() {
 }
 
 // ---------------------------------------------------------------------------
-// Harness mutation tests: a broken transformation must be caught above
+// Selectivity: demand evaluation stays inside the goal's cone
 // ---------------------------------------------------------------------------
 
-/// Two disjoint ancestor chains; the bound query touches only the short
-/// one, so a healthy demand evaluation stays well under the full
-/// fixpoint's fact count.
-fn two_chain_session(threads: usize) -> EngineSession {
+/// `anc(p, _)` over two disjoint ancestor chains: the scratch holds the
+/// six edges, the one magic seed and the two answers, and never the other
+/// chain's ancestors. The fact count is pinned exactly, like the other
+/// `EvalStats` pins. Fails under `drop_magic_guard.patch`, whose
+/// unguarded clause variants derive both chains in full while the
+/// answers stay the same.
+#[test]
+fn demand_scratch_stays_in_the_goal_cone() {
     let mut e = sequence_datalog::core::Engine::new();
     let program = e
         .parse_program("anc(X, Y) :- edge(X, Y).\nanc(X, Z) :- anc(X, Y), edge(Y, Z).")
         .unwrap();
     let mut s = e
-        .into_session(&program, EvalConfig::with_threads(threads))
+        .into_session(&program, EvalConfig::with_threads(1))
         .unwrap();
     for (x, y) in [
         ("a", "b"),
@@ -194,80 +250,10 @@ fn two_chain_session(threads: usize) -> EngineSession {
     ] {
         s.assert_fact("edge", &[x, y]).unwrap();
     }
-    s
-}
-
-/// Mutant 1: dropping the magic guard from the rewritten clause variants.
-/// Every original clause then runs unrestricted, so the scratch converges
-/// to (a superset of) the batch fixpoint: answers stay **correct** —
-/// over-approximation is the safe direction — but the selectivity that
-/// justifies the whole transformation is gone, and the scratch fact
-/// count gives it away. This is the oracle that pins demand evaluation
-/// to actually *being* demand-driven.
-#[test]
-fn mutant_dropped_magic_guard_is_caught_by_selectivity() {
-    let pattern = [Bind::Bound("p"), Bind::Free];
-    let healthy = two_chain_session(1)
-        .query_bound_instrumented("anc", &pattern, &MagicOptions::default())
+    let got = s
+        .query_bound_instrumented("anc", &[Bind::Bound("p"), Bind::Free])
         .unwrap();
-    let mutant_opts = MagicOptions {
-        danger_drop_magic_guard: true,
-        ..MagicOptions::default()
-    };
-    let mutant = two_chain_session(1)
-        .query_bound_instrumented("anc", &pattern, &mutant_opts)
-        .unwrap();
-    // Over-approximation: the answers themselves survive the mutation.
-    assert_eq!(mutant.answers, healthy.answers);
-    assert_eq!(healthy.answers.len(), 2); // p->q, p->r
-                                          // ...but the selectivity oracle catches it: the healthy scratch stays
-                                          // strictly below the mutant's (which derives both chains in full).
-    assert!(
-        healthy.stats.facts < mutant.stats.facts,
-        "healthy demand ({}) must stay below the unguarded scratch ({})",
-        healthy.stats.facts,
-        mutant.stats.facts
-    );
-}
-
-/// Mutant 2: skipping the domain-sensitive full-fallback gate. The goal's
-/// cone no longer includes the constructive clause that grows the domain,
-/// so the demand route *loses* answers — the unsound direction, caught
-/// extent-wise by the differential property above. Pinned here so the
-/// gate cannot rot even if the generator's shape mix drifts.
-#[test]
-fn mutant_skipped_fallback_is_caught_by_extents() {
-    let case = FuzzCase {
-        program: "dbl0(X ++ X) :- r0(X).\ngd0(X, X) :- true.\n".into(),
-        batches: vec![vec![("r0".into(), "ab".into())]],
-    };
-    let extents = batch_outcome(&case, &EvalConfig::with_threads(1))
-        .extents_sorted()
-        .unwrap();
-    let pattern = vec![None, None];
-    let expected = filtered_extent(&extents, "gd0", &pattern);
-    let mutant_opts = MagicOptions {
-        danger_skip_fallback: true,
-        ..MagicOptions::default()
-    };
-    let mutant = demand_outcome(
-        &case,
-        &EvalConfig::with_threads(1),
-        "gd0",
-        &pattern,
-        DemandArm::Unsettled,
-        &mutant_opts,
-    )
-    .unwrap()
-    .answer;
-    assert_ne!(
-        mutant.answers, expected,
-        "bypassing the fallback gate must lose answers — otherwise the \
-         extent oracle could not catch an under-approximation bug"
-    );
-    // Specifically the diagonal pair over the *constructed* word is gone.
-    assert!(!mutant
-        .answers
-        .contains(&vec!["abab".to_string(), "abab".to_string()]));
-    assert!(expected.contains(&vec!["abab".to_string(), "abab".to_string()]));
+    assert!(got.evaluated);
+    assert_eq!(got.answers, [["p", "q"], ["p", "r"]]);
+    assert_eq!(got.stats.facts, 9);
 }

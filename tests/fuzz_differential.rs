@@ -60,7 +60,7 @@ const THREADS: [usize; 4] = [1, 2, 4, 8];
 fn sharded(threads: usize) -> EvalConfig {
     EvalConfig {
         threads,
-        danger_force_parallel: true,
+        parallel_threshold: 0,
         ..EvalConfig::default()
     }
 }

@@ -7,7 +7,7 @@
 //! machine computes exactly the composed sequence function, so the
 //! evaluation extent — per-relation tuples in insertion order, not just
 //! as sets — must be identical with the pass enabled (the default) and
-//! disabled (`EvalConfig::danger_disable_fusion`, the mutation hook this
+//! disabled (`EvalConfig::fusion: false`, the staged reference arm this
 //! suite drives).
 //!
 //! Two case sources:
@@ -34,10 +34,10 @@ use std::collections::BTreeMap;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-fn config(threads: usize, disable_fusion: bool) -> EvalConfig {
+fn config(threads: usize, fusion: bool) -> EvalConfig {
     EvalConfig {
         threads,
-        danger_disable_fusion: disable_fusion,
+        fusion,
         ..EvalConfig::default()
     }
 }
@@ -57,8 +57,8 @@ proptest! {
     #[test]
     fn fusion_on_equals_fusion_off_for_generated_chains(case in cases()) {
         let case = with_chain_clauses(case);
-        let on_ref = chained_batch_outcome(&case, &config(1, false));
-        let off_ref = chained_batch_outcome(&case, &config(1, true));
+        let on_ref = chained_batch_outcome(&case, &config(1, true));
+        let off_ref = chained_batch_outcome(&case, &config(1, false));
         prop_assert_eq!(
             extents(&on_ref),
             extents(&off_ref),
@@ -66,8 +66,8 @@ proptest! {
             case
         );
         for t in [2usize, 4, 8] {
-            let on = chained_batch_outcome(&case, &config(t, false));
-            let off = chained_batch_outcome(&case, &config(t, true));
+            let on = chained_batch_outcome(&case, &config(t, true));
+            let off = chained_batch_outcome(&case, &config(t, false));
             // Within a mode: bit-for-bit across thread counts, stats included.
             prop_assert_eq!(&on, &on_ref, "fused route diverges at threads={}\n{}", t, case);
             prop_assert_eq!(&off, &off_ref, "chained route diverges at threads={}\n{}", t, case);
@@ -145,10 +145,10 @@ fn paper_transducer_programs_agree_with_fusion_on_and_off() {
         ),
     ];
     for (src, facts, setup) in cases {
-        let on_ref = run(src, facts, *setup, &config(1, false));
+        let on_ref = run(src, facts, *setup, &config(1, true));
         for t in THREADS {
-            let on = run(src, facts, *setup, &config(t, false));
-            let off = run(src, facts, *setup, &config(t, true));
+            let on = run(src, facts, *setup, &config(t, true));
+            let off = run(src, facts, *setup, &config(t, false));
             assert_eq!(
                 on, off,
                 "fusion on/off extents differ at threads={t} for:\n{src}"
@@ -178,8 +178,8 @@ fn fusion_actually_reduces_transducer_calls() {
         Outcome::Model { stats, .. } => *stats,
         Outcome::Failed(f) => panic!("route failed: {f}"),
     };
-    let on = stats(&chained_batch_outcome(&case, &config(1, false)));
-    let off = stats(&chained_batch_outcome(&case, &config(1, true)));
+    let on = stats(&chained_batch_outcome(&case, &config(1, true)));
+    let off = stats(&chained_batch_outcome(&case, &config(1, false)));
     assert!(
         on.transducer_calls < off.transducer_calls,
         "fusion did not reduce transducer calls: {} (on) vs {} (off)",

@@ -27,9 +27,11 @@
 //!   `RecoveryError` or a state equal to a valid logged prefix — never a
 //!   panic, out-of-bounds access, or silently wrong model.
 //!
-//! The harness itself is mutation-tested at the bottom of this file: a
-//! reader that skips checksum verification, skips torn-tail truncation, or
-//! restores stale watermarks is caught by these oracles.
+//! The pinned cases at the bottom of this file are the named checks of
+//! `scripts/mutation_check.sh`: a reader that skips torn-tail truncation
+//! (`scripts/mutants/skip_tail_truncation.patch`), skips checksum
+//! verification (`skip_crc.patch`), or restores snapshots with stale
+//! watermarks (`stale_watermarks.patch`) makes one of them fail.
 //!
 //! Seeds are pinned by construction (the proptest shim derives its RNG from
 //! the test name), so failures reproduce by rerunning the same test.
@@ -160,7 +162,7 @@ proptest! {
         let opts = fuzz_opts();
         let sharded = |threads: usize| EvalConfig {
             threads,
-            danger_force_parallel: true,
+            parallel_threshold: 0,
             ..EvalConfig::default()
         };
         let reference_run = durable_run(&case, &EvalConfig::with_threads(1), &opts);
@@ -309,14 +311,14 @@ fn bit_flips_are_loud_or_harmless() {
 }
 
 // ---------------------------------------------------------------------------
-// Harness mutation tests: weakened readers must be caught by the oracles
+// Pinned recovery cases (each the named check of one mutant patch)
 // ---------------------------------------------------------------------------
 
-/// Mutant 1: a reader that treats a torn tail as ordinary data (no
-/// truncation). The torn-tail kill points above must fail loudly under it —
-/// proving the truncation path is what makes those cases pass.
+/// A kill point inside a record leaves a torn tail, which recovery
+/// truncates to the last complete record. Fails under
+/// `skip_tail_truncation.patch`, whose reader refuses any torn tail.
 #[test]
-fn mutant_skipping_tail_truncation_is_caught() {
+fn torn_tail_kill_point_recovers() {
     let case = pinned_case();
     let opts = fuzz_opts();
     let config = EvalConfig::with_threads(1);
@@ -328,36 +330,25 @@ fn mutant_skipping_tail_truncation_is_caught() {
         .find(|o| !run.boundaries.contains(o) && *o != run.final_len)
         .expect("kill_offsets includes mid-record torn tails");
     let crashed = crash_at(&run, mid_record);
-    let mutant = DurabilityOptions {
-        danger_skip_tail_truncation: true,
-        ..fuzz_opts()
-    };
-    match recover_session(&case.program, crashed.path(), &config, &mutant) {
-        Err(EvalError::Recovery(RecoveryError::Corrupt { .. })) => {}
-        Err(other) => panic!("mutant failed with the wrong error: {other}"),
-        Ok(_) => panic!("a reader without tail truncation must not recover a torn log"),
-    }
-    // The real reader recovers the same directory fine.
-    recover_session(&case.program, crashed.path(), &config, &fuzz_opts())
-        .expect("the real reader truncates the torn tail and recovers");
+    recover_session(&case.program, crashed.path(), &config, &opts)
+        .expect("the reader truncates the torn tail and recovers");
 }
 
-/// Mutant 2: a reader that skips CRC verification. A content flip that
-/// preserves record framing must slide through it and produce a *different
-/// model* — exactly what the bit-flip oracle rejects — while the real
-/// reader reports corruption.
+/// A content flip that keeps the record framing intact, in an interior
+/// record, is corruption: recovery refuses it with
+/// `RecoveryError::Corrupt`. Fails under `skip_crc.patch`, whose reader
+/// decodes the flipped record and recovers a different model.
 #[test]
-fn mutant_skipping_crc_verification_is_caught() {
+fn interior_content_flip_is_refused_as_corrupt() {
     let case = pinned_case();
     // Only the attach-time snapshot: recovery must replay the whole log, so
-    // the corrupted record actually flows into the recovered state.
+    // the corrupted record would flow into the recovered state.
     let opts = DurabilityOptions {
         snapshot_every: 0,
         ..Default::default()
     };
     let config = EvalConfig::with_threads(1);
     let run = durable_run(&case, &config, &opts);
-    let truth = run.outcome.bitwise_view().expect("run settles");
 
     let crashed = crash_at(&run, run.final_len);
     let wal = crashed.path().join(WAL_FILE);
@@ -374,37 +365,17 @@ fn mutant_skipping_crc_verification_is_caught() {
 
     match recover_session(&case.program, crashed.path(), &config, &opts) {
         Err(EvalError::Recovery(RecoveryError::Corrupt { .. })) => {}
-        Err(other) => panic!("real reader failed with the wrong error: {other}"),
-        Ok(_) => panic!("the real reader must reject an interior content flip"),
-    }
-
-    let mutant = DurabilityOptions {
-        snapshot_every: 0,
-        danger_skip_crc: true,
-        ..Default::default()
-    };
-    match recover_session(&case.program, crashed.path(), &config, &mutant) {
-        Ok(recovered) => {
-            assert_ne!(
-                session_outcome(&recovered).bitwise_view().as_ref(),
-                Some(&truth),
-                "a checksum-free reader silently accepted the flip — the \
-                 bit-flip oracle would miss real corruption"
-            );
-        }
-        // Decode may also fail structurally; either way the mutant's
-        // behavior differs observably from the real reader's Corrupt.
-        Err(EvalError::Recovery(_)) => {}
-        Err(other) => panic!("mutant leaked a non-recovery error: {other}"),
+        Err(other) => panic!("recovery failed with the wrong error: {other}"),
+        Ok(_) => panic!("recovery must reject an interior content flip"),
     }
 }
 
-/// Mutant 3: restoring snapshots with stale (fully caught-up) watermarks.
-/// A snapshot taken between an assert and its run then "forgets" the
-/// pending fact is still the next run's semi-naive delta: the settled
-/// state misses derivations and the surviving-batch oracle catches it.
+/// A snapshot taken between an assert and its run records the assert as
+/// pending: the settling run after recovery takes it as its semi-naive
+/// delta and derives `t0`. Fails under `stale_watermarks.patch`, which
+/// restores every relation as already processed.
 #[test]
-fn mutant_stale_watermarks_are_caught() {
+fn pending_assert_in_snapshot_derives_after_recovery() {
     let assert = |pred: &str, word: &str| Op::Assert {
         pred: pred.into(),
         word: word.into(),
@@ -426,13 +397,7 @@ fn mutant_stale_watermarks_are_caught() {
     // already been written by then, so recovery restores from it with an
     // empty log tail — exactly the situation where watermarks matter.
     let run = durable_run(&case, &config, &opts);
-    let offset = run.boundaries[1];
-    // Two independent crash images: a recovered session is itself durable,
-    // so the healthy recovery's settling run would otherwise append to the
-    // log and snapshot the settled state — which the mutant recovery would
-    // then happily restore.
-    let crashed = crash_at(&run, offset);
-    let crashed_mutant = crash_at(&run, offset);
+    let crashed = crash_at(&run, run.boundaries[1]);
 
     let expected = wal_surviving_batch_outcome(&case.program, crashed.path(), &config)
         .extents_sorted_nonempty()
@@ -442,26 +407,14 @@ fn mutant_stale_watermarks_are_caught() {
         "the pending fact must derive t0"
     );
 
-    let mut healthy =
+    let mut recovered =
         recover_session(&case.program, crashed.path(), &config, &opts).expect("recovery succeeds");
-    healthy.run().expect("settling run succeeds");
+    recovered.run().expect("settling run succeeds");
     assert_eq!(
-        session_outcome(&healthy).extents_sorted_nonempty().as_ref(),
+        session_outcome(&recovered)
+            .extents_sorted_nonempty()
+            .as_ref(),
         Some(&expected),
-        "the real reader resumes the pending fact through the watermarks"
-    );
-
-    let mutant = DurabilityOptions {
-        danger_stale_watermarks: true,
-        ..opts
-    };
-    let mut stale = recover_session(&case.program, crashed_mutant.path(), &config, &mutant)
-        .expect("the mutant recovers without error — that is its danger");
-    stale.run().expect("settling run succeeds");
-    assert_ne!(
-        session_outcome(&stale).extents_sorted_nonempty().as_ref(),
-        Some(&expected),
-        "stale watermarks must lose the pending delta — otherwise the \
-         fuzz oracle could not catch a watermark-persistence bug"
+        "the recovered session resumes the pending fact through the watermarks"
     );
 }
