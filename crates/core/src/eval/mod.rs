@@ -247,6 +247,10 @@ pub enum EvalError {
     },
     /// A transducer term refers to a machine that is not registered.
     UnknownTransducer(String),
+    /// An id-route assert named a sequence id the session's store never
+    /// issued. Refused before anything is logged or interned; the session
+    /// is not poisoned.
+    UnknownSeq(SeqId),
     /// A transducer run failed (stuck machine or exec budget).
     Transducer {
         /// Machine name.
@@ -278,6 +282,7 @@ impl fmt::Display for EvalError {
                 stats.rounds, stats.facts, stats.domain_size
             ),
             Self::UnknownTransducer(n) => write!(f, "unknown transducer @{n}"),
+            Self::UnknownSeq(id) => write!(f, "unknown sequence id {}", id.0),
             Self::Transducer { name, error } => write!(f, "transducer @{name}: {error}"),
             Self::Poisoned { original } => {
                 write!(f, "session poisoned by earlier error: {original}")

@@ -80,21 +80,21 @@
 //!
 //! # Budgets are exact on the update surface
 //!
-//! An assert that would push the state past `max_facts` or `max_domain` is
-//! **refused before it applies**: the fact is withdrawn and its arguments
-//! released, which removes exactly the window closure it added; the error
-//! reports the would-be stats, and the session stays healthy — so an
-//! accepted assert can never make the next `run` fail its entry budget
-//! check. Batch asserts
-//! ([`assert_facts`](EngineSession::assert_facts) /
-//! [`assert_db`](EngineSession::assert_db)) are **failure-atomic**: on a
-//! mid-batch rejection every fact of the batch is rolled back and the
-//! pre-call state is restored exactly. (The commit phase of a `run` keeps
-//! its documented behavior: it stops — and poisons — one fact past the
-//! budget; the poisoned state is the diagnostic artifact.) Oversized
-//! sequences are still rejected eagerly, before the quadratic window
-//! closure. Budget refusals never poison. Refused asserts may leave
-//! sequences in the append-only interner; the interner is not part of the
+//! Every assert — one fact or a batch, string or id arguments — is one
+//! **failure-atomic** batch. Before anything is logged or interned, each
+//! argument is checked: a value longer than `max_seq_len` is refused
+//! (before the quadratic window closure), and so is an id the session's
+//! store never issued ([`EvalError::UnknownSeq`]). A fact that would push
+//! the state past `max_facts` or `max_domain` is then refused as it
+//! applies: every fact of the batch is withdrawn and its arguments
+//! released, which removes exactly the window closure it added, and the
+//! pre-call state is restored exactly; the error reports the would-be
+//! stats, and the session stays healthy — so an accepted assert can never
+//! make the next `run` fail its entry budget check. (The commit phase of a
+//! `run` keeps its documented behavior: it stops — and poisons — one fact
+//! past the budget; the poisoned state is the diagnostic artifact.)
+//! Refusals never poison. A budget-refused batch may leave sequences in
+//! the append-only interner; the interner is not part of the
 //! interpretation, so this is unobservable through the query API.
 //!
 //! # Predicates outside the compiled program
@@ -133,11 +133,17 @@
 //!
 //! * Every committed mutation batch — assert batch, retract batch, and each
 //!   [`run`](EngineSession::run) boundary — is appended to the log **before**
-//!   its in-memory commit, as a length-prefixed, CRC-checksummed record. A
-//!   batch that is logged but then *refused* (budget) is compensated with an
-//!   `Abort` record so replay skips it. Records are **logical** (predicate
-//!   names plus per-argument symbol names), so replay through the ordinary
-//!   session API re-interns everything in the original order and the
+//!   its in-memory commit, as a length-prefixed, CRC-checksummed record.
+//!   Every argument is checked first — an id the store never issued
+//!   ([`EvalError::UnknownSeq`]) or a value past `max_seq_len` is refused
+//!   before anything is logged — so only a budget refusal can follow a
+//!   logged assert batch; it is compensated with an `Abort` record so
+//!   replay skips it. Records are **logical** (predicate names plus
+//!   per-argument symbol names). Every mutator and replay go through one
+//!   path: a private assert batch and a private retract batch, whose
+//!   entries carry strings, store ids, or a record's symbol names. Replay
+//!   runs those same batches and `run` on a non-durable scratch session,
+//!   so it re-interns everything in the original order and the
 //!   append-only interners reproduce identical ids.
 //! * Snapshots capture the alphabet, sequence store, relations, base-fact
 //!   set, cumulative stats, and the semi-naive watermarks — atomically
@@ -223,6 +229,18 @@ struct Durability {
     wal: WalWriter,
     opts: DurabilityOptions,
     since_snapshot: usize,
+}
+
+/// The arguments of one fact on the update surface, as
+/// [`EngineSession`]'s one assert batch and one retract batch take them.
+#[derive(Clone, Copy)]
+enum Args<'a> {
+    /// String values, one symbol per character.
+    Text(&'a [&'a str]),
+    /// Ids of this session's store.
+    Ids(&'a [SeqId]),
+    /// Per-argument symbol names, as a log record carries them.
+    Names(&'a [Vec<String>]),
 }
 
 /// A persistent evaluation session over one compiled program.
@@ -607,26 +625,9 @@ impl EngineSession {
         Ok(path)
     }
 
-    /// A [`LoggedFact`] for an already-interned tuple: predicate name plus
-    /// per-argument symbol names, read back through the interners.
-    fn logged_fact_ids(&self, pred: &str, tuple: &[SeqId]) -> LoggedFact {
-        LoggedFact {
-            pred: pred.to_string(),
-            args: tuple
-                .iter()
-                .map(|&id| {
-                    self.store
-                        .get(id)
-                        .iter()
-                        .map(|&s| self.alphabet.name(s).to_string())
-                        .collect()
-                })
-                .collect(),
-        }
-    }
-
     /// Load the newest usable snapshot under `dir`, replay the log tail
-    /// through the ordinary (unlogged) apply paths, and swap the rebuilt
+    /// on a non-durable scratch session through the live mutators' own
+    /// assert and retract batches and `run`, and swap the rebuilt
     /// state into `self`. See the [module docs](self) for the protocol; on
     /// any error `self` is untouched.
     fn attach_recover(&mut self, dir: PathBuf, opts: DurabilityOptions) -> Result<(), EvalError> {
@@ -808,103 +809,32 @@ impl EngineSession {
         })
     }
 
-    /// Replay an [`WalRecord::AssertBatch`]: the unlogged twin of
-    /// [`assert_facts`](EngineSession::assert_facts) (failure-atomic, same
-    /// budget order), interning through the logged symbol names.
-    fn apply_assert_batch(&mut self, facts: &[LoggedFact]) -> Result<usize, EvalError> {
-        let mut applied: Vec<(PredId, Box<[SeqId]>, AssertOutcome)> = Vec::new();
-        let mut added = 0;
-        for f in facts {
-            let step = self.intern_logged_tuple(&f.args).and_then(|tuple| {
-                let pid = self.fx.pred_id(&f.pred);
-                self.assert_batch_step(pid, tuple.into(), &mut applied)
-            });
-            match step {
-                Ok(n) => added += n,
-                Err(e) => {
-                    self.rollback_asserts(&applied);
-                    return Err(e);
+    /// Refuse an assert's arguments before anything is logged or interned:
+    /// an id this session's store never issued
+    /// ([`EvalError::UnknownSeq`]), or a value longer than `max_seq_len` —
+    /// domain closure interns O(len²) windows, so an oversized value must
+    /// be rejected *before* closure, not discovered by the next run's
+    /// budget check. Neither refusal poisons: the interpretation is
+    /// untouched and the session keeps serving (batch evaluation, by
+    /// contrast, only discovers oversized database sequences at run time).
+    fn check_args(&self, args: Args<'_>) -> Result<(), EvalError> {
+        match args {
+            Args::Text(values) => values
+                .iter()
+                .try_for_each(|s| self.check_seq_len(s.chars().count())),
+            Args::Ids(ids) => ids.iter().try_for_each(|&id| {
+                if id.index() >= self.store.count() {
+                    return Err(EvalError::UnknownSeq(id));
                 }
-            }
+                self.check_seq_len(self.store.len_of(id))
+            }),
+            Args::Names(names) => names.iter().try_for_each(|n| self.check_seq_len(n.len())),
         }
-        Ok(added)
     }
 
-    /// Replay a [`WalRecord::RetractBatch`]: the unlogged twin of
-    /// [`retract_db`](EngineSession::retract_db). Resolution is
-    /// lookup-only, exactly like the live path.
-    fn apply_retract_batch(&mut self, facts: &[LoggedFact]) -> Result<usize, EvalError> {
-        let mut batch: Vec<(PredId, Box<[SeqId]>)> = Vec::new();
-        for f in facts {
-            let Some(pid) = self.fx.facts().lookup_pred(&f.pred) else {
-                continue;
-            };
-            let Some(tuple) = self.lookup_logged_tuple(&f.args) else {
-                continue;
-            };
-            batch.push((pid, tuple.into()));
-        }
-        if batch.is_empty() {
-            return Ok(0);
-        }
-        self.fx.retract_facts(
-            &self.program,
-            &mut self.store,
-            &self.registry,
-            &self.config,
-            &batch,
-        )
-    }
-
-    /// Replay a [`WalRecord::Run`] boundary.
-    fn replay_run(&mut self) -> Result<(), EvalError> {
-        self.fx
-            .run(&self.program, &mut self.store, &self.registry, &self.config)
-    }
-
-    /// Intern a logged tuple (per-argument symbol names), enforcing
-    /// `max_seq_len` before interning, as the string assert paths do
-    /// ([`check_arg_lens`](Self::check_arg_lens)).
-    fn intern_logged_tuple(&mut self, args: &[Vec<String>]) -> Result<Vec<SeqId>, EvalError> {
-        for names in args {
-            self.check_seq_len(names.len())?;
-        }
-        let mut tuple: Vec<SeqId> = Vec::with_capacity(args.len());
-        for names in args {
-            let syms: Vec<Sym> = names.iter().map(|n| self.alphabet.intern(n)).collect();
-            tuple.push(self.store.intern_vec(syms));
-        }
-        Ok(tuple)
-    }
-
-    /// Resolve a logged tuple without interning anything (`None` when some
-    /// symbol or sequence was never interned — no such fact can exist).
-    fn lookup_logged_tuple(&self, args: &[Vec<String>]) -> Option<Vec<SeqId>> {
-        let mut tuple: Vec<SeqId> = Vec::with_capacity(args.len());
-        for names in args {
-            let mut syms: Vec<Sym> = Vec::with_capacity(names.len());
-            for n in names {
-                syms.push(self.alphabet.lookup(n)?);
-            }
-            tuple.push(self.store.lookup(&syms)?);
-        }
-        Some(tuple)
-    }
-
-    /// Eager `max_seq_len` enforcement on the assert path (and, through
-    /// [`check_seq_len`](Self::check_seq_len), on the constructive
-    /// point-query path): domain closure interns O(len²) windows, so an
-    /// oversized input must be rejected *before* closure, not discovered
-    /// by the next run's budget check.
-    /// Rejection does **not** poison — the interpretation is untouched and
-    /// the session keeps serving (batch evaluation, by contrast, only
-    /// discovers oversized database sequences at run time).
-    fn check_seq_budget(&self, id: SeqId) -> Result<(), EvalError> {
-        self.check_seq_len(self.store.len_of(id))
-    }
-
-    /// [`check_seq_budget`](Self::check_seq_budget) for a sequence of `len`
-    /// symbols that need not be interned.
+    /// The `max_seq_len` refusal for a sequence of `len` symbols, shared by
+    /// [`check_args`](Self::check_args) and the constructive point-query
+    /// path.
     fn check_seq_len(&self, len: usize) -> Result<(), EvalError> {
         if len > self.config.max_seq_len {
             let mut stats = self.fx.stats();
@@ -917,73 +847,156 @@ impl EngineSession {
         Ok(())
     }
 
-    /// Refuse string arguments longer than `max_seq_len`, before any of
-    /// them interns a symbol or a sequence.
-    fn check_arg_lens(&self, args: &[&str]) -> Result<(), EvalError> {
-        for s in args {
-            self.check_seq_len(s.chars().count())?;
+    /// Intern checked arguments as a tuple. Text interns per character,
+    /// the same symbols its logged names carry, so a replayed record
+    /// re-interns in the original order and the append-only interners
+    /// reproduce identical ids.
+    fn intern_args(&mut self, args: Args<'_>) -> Box<[SeqId]> {
+        match args {
+            Args::Text(values) => values
+                .iter()
+                .map(|s| {
+                    let syms = self.alphabet.seq_of_str(s);
+                    self.store.intern_vec(syms)
+                })
+                .collect(),
+            Args::Ids(ids) => ids.into(),
+            Args::Names(names) => names
+                .iter()
+                .map(|n| {
+                    let syms = n.iter().map(|name| self.alphabet.intern(name)).collect();
+                    self.store.intern_vec(syms)
+                })
+                .collect(),
         }
-        Ok(())
     }
 
-    /// Intern string arguments as a tuple. Callers check the lengths first
-    /// ([`check_arg_lens`](Self::check_arg_lens)), so a refused tuple
-    /// leaves the alphabet and the store as they were.
-    fn intern_tuple(&mut self, args: &[&str]) -> Vec<SeqId> {
-        args.iter()
-            .map(|s| {
-                let syms = self.alphabet.seq_of_str(s);
-                self.store.intern_vec(syms)
-            })
-            .collect()
+    /// Resolve arguments **without interning** anything (not even alphabet
+    /// symbols): `None` when some value was never interned or some id never
+    /// issued, in which case no such fact can exist.
+    fn lookup_args(&self, args: Args<'_>) -> Option<Box<[SeqId]>> {
+        match args {
+            Args::Text(values) => values.iter().map(|s| self.lookup_seq(s)).collect(),
+            Args::Ids(ids) => ids
+                .iter()
+                .all(|id| id.index() < self.store.count())
+                .then(|| ids.into()),
+            Args::Names(names) => names
+                .iter()
+                .map(|n| {
+                    let syms: Option<Vec<Sym>> =
+                        n.iter().map(|name| self.alphabet.lookup(name)).collect();
+                    self.store.lookup(&syms?)
+                })
+                .collect(),
+        }
     }
 
-    /// One assert with **exact** cumulative-budget enforcement: a fact that
-    /// would push the state past `max_facts` or `max_domain` is refused
-    /// with the interpretation restored to exactly its pre-call state
-    /// (fact, base record, and partial window closure all rolled back).
-    /// The reported stats are the would-be (peak) stats, so the caller sees
-    /// what tripped. Duplicate asserts never grow the state and are always
-    /// admitted (they still record base status for retraction). Refusal
-    /// does not poison.
-    fn assert_ids_exact(
+    /// The logged form of a checked or resolved fact: predicate name plus
+    /// per-argument symbol names, independent of the interners. Text splits
+    /// per character exactly like [`Alphabet::seq_of_str`]; ids read their
+    /// symbols back through the store.
+    fn logged_fact(&self, pred: &str, args: Args<'_>) -> LoggedFact {
+        let args = match args {
+            Args::Text(values) => values
+                .iter()
+                .map(|s| s.chars().map(String::from).collect())
+                .collect(),
+            Args::Ids(ids) => ids
+                .iter()
+                .map(|&id| {
+                    self.store
+                        .get(id)
+                        .iter()
+                        .map(|&s| self.alphabet.name(s).to_string())
+                        .collect()
+                })
+                .collect(),
+            Args::Names(names) => names.to_vec(),
+        };
+        LoggedFact {
+            pred: pred.to_string(),
+            args,
+        }
+    }
+
+    /// The one assert path, shared by every `assert_*` mutator and by log
+    /// replay: refuse on poison, check every argument
+    /// ([`check_args`](Self::check_args)), log one
+    /// [`WalRecord::AssertBatch`] when durable, then intern and apply each
+    /// fact in order with exact budgets. A refusal rolls the whole batch
+    /// back and compensates the record with [`WalRecord::Abort`]. Returns
+    /// how many facts were new.
+    fn assert_batch(&mut self, facts: &[(&str, Args<'_>)]) -> Result<usize, EvalError> {
+        self.guard_poison()?;
+        for &(_, args) in facts {
+            self.check_args(args)?;
+        }
+        if self.durability.is_some() && !facts.is_empty() {
+            let logged = facts
+                .iter()
+                .map(|&(pred, args)| self.logged_fact(pred, args))
+                .collect();
+            self.log_record(&WalRecord::AssertBatch(logged))?;
+        }
+        let mut applied: Vec<(PredId, Box<[SeqId]>, AssertOutcome)> = Vec::new();
+        let mut added = 0;
+        for &(pred, args) in facts {
+            let tuple = self.intern_args(args);
+            let pid = self.fx.pred_id(pred);
+            match self.assert_exact(pid, tuple, &mut applied) {
+                Ok(new_fact) => added += usize::from(new_fact),
+                Err(e) => {
+                    self.rollback_asserts(&applied);
+                    return Err(self.abort_logged(e));
+                }
+            }
+        }
+        self.after_mutation();
+        Ok(added)
+    }
+
+    /// One fact of an assert batch with **exact** cumulative-budget
+    /// enforcement: a fact that would push the state past `max_facts` is
+    /// refused before it applies, one that pushes the domain past
+    /// `max_domain` right after, with its change already in `applied` so
+    /// the batch rollback removes it and exactly the window closure it
+    /// added. The reported stats are the would-be (peak) stats, so the
+    /// caller sees what tripped. Duplicate asserts never grow the state
+    /// and are always admitted (they still record base status for
+    /// retraction). Returns whether the fact was new.
+    fn assert_exact(
         &mut self,
         pid: PredId,
         tuple: Box<[SeqId]>,
-    ) -> Result<AssertOutcome, EvalError> {
-        for &id in &tuple {
-            self.check_seq_budget(id)?;
-        }
-        if self.fx.facts().contains_id(pid, &tuple) {
-            return Ok(self.fx.assert_fact_full(&mut self.store, pid, tuple));
-        }
-        let stats = self.fx.stats();
-        if stats.facts + 1 > self.config.max_facts {
-            let mut peak = stats;
-            peak.facts += 1;
-            return Err(EvalError::Budget {
-                kind: BudgetKind::Facts,
-                stats: peak,
-            });
+        applied: &mut Vec<(PredId, Box<[SeqId]>, AssertOutcome)>,
+    ) -> Result<bool, EvalError> {
+        if !self.fx.facts().contains_id(pid, &tuple) {
+            let mut peak = self.fx.stats();
+            if peak.facts + 1 > self.config.max_facts {
+                peak.facts += 1;
+                return Err(EvalError::Budget {
+                    kind: BudgetKind::Facts,
+                    stats: peak,
+                });
+            }
         }
         let outcome = self
             .fx
             .assert_fact_full(&mut self.store, pid, tuple.clone());
-        debug_assert!(outcome.new_fact, "absent fact must insert");
-        if self.fx.domain().len() > self.config.max_domain {
-            let peak = self.fx.stats();
-            self.fx
-                .unassert_pending(&self.store, pid, &tuple, outcome.new_base);
-            self.fx.compact_pending();
+        if outcome.new_fact || outcome.new_base {
+            applied.push((pid, tuple, outcome));
+        }
+        if outcome.new_fact && self.fx.domain().len() > self.config.max_domain {
             return Err(EvalError::Budget {
                 kind: BudgetKind::DomainSize,
-                stats: peak,
+                stats: self.fx.stats(),
             });
         }
-        Ok(outcome)
+        Ok(outcome.new_fact)
     }
 
-    /// Reverse a prefix of a failed batch assert (newest first), restoring
+    /// Reverse what a refused batch applied (newest first), restoring
     /// the exact pre-batch state: each withdrawn fact releases its
     /// arguments, which removes exactly the domain members the batch
     /// introduced (they are the newest, so this costs what they added).
@@ -1001,6 +1014,52 @@ impl EngineSession {
         self.fx.compact_pending();
     }
 
+    /// The one retract path, shared by every `retract_*` mutator and by log
+    /// replay: refuse on poison, then resolve each fact by lookup only —
+    /// an unknown predicate, a value never interned or an id never issued
+    /// drops the fact. When nothing resolves, nothing is logged and the
+    /// count is 0. Otherwise one [`WalRecord::RetractBatch`] is logged
+    /// when durable and one Delete-and-Rederive pass
+    /// ([`Fixpoint::retract_facts`]) runs, poisoning on failure like
+    /// [`run`](EngineSession::run). Returns how many were base facts.
+    fn retract_batch(&mut self, facts: &[(&str, Args<'_>)]) -> Result<usize, EvalError> {
+        self.guard_poison()?;
+        let mut batch: Vec<(PredId, Box<[SeqId]>)> = Vec::new();
+        let mut logged: Vec<LoggedFact> = Vec::new();
+        for &(pred, args) in facts {
+            let Some(pid) = self.fx.facts().lookup_pred(pred) else {
+                continue;
+            };
+            let Some(tuple) = self.lookup_args(args) else {
+                continue;
+            };
+            if self.durability.is_some() {
+                logged.push(self.logged_fact(pred, args));
+            }
+            batch.push((pid, tuple));
+        }
+        if batch.is_empty() {
+            return Ok(0);
+        }
+        self.log_record(&WalRecord::RetractBatch(logged))?;
+        match self.fx.retract_facts(
+            &self.program,
+            &mut self.store,
+            &self.registry,
+            &self.config,
+            &batch,
+        ) {
+            Ok(n) => {
+                self.after_mutation();
+                Ok(n)
+            }
+            Err(e) => {
+                self.poisoned = Some(e.clone());
+                Err(e)
+            }
+        }
+    }
+
     /// Intern `text` as a sequence and window-close it, so it can serve as
     /// an indexed base as soon as it reaches the matcher. Use with
     /// [`assert_fact_ids`](EngineSession::assert_fact_ids) to build tuples
@@ -1010,7 +1069,7 @@ impl EngineSession {
     /// quadratic window closure; the session stays healthy).
     pub fn assert_seq(&mut self, text: &str) -> Result<SeqId, EvalError> {
         self.guard_poison()?;
-        self.check_arg_lens(&[text])?;
+        self.check_args(Args::Text(&[text]))?;
         let syms = self.alphabet.seq_of_str(text);
         let id = self.store.intern_vec(syms);
         self.store.close_windows(id);
@@ -1025,21 +1084,8 @@ impl EngineSession {
     /// that would exceed `max_facts`/`max_domain` are refused eagerly and
     /// exactly (state untouched, session not poisoned).
     pub fn assert_fact(&mut self, pred: &str, args: &[&str]) -> Result<bool, EvalError> {
-        self.guard_poison()?;
-        self.check_arg_lens(args)?;
-        let tuple = self.intern_tuple(args);
-        if self.durability.is_some() {
-            let rec = WalRecord::AssertBatch(vec![logged_fact_strs(pred, args)]);
-            self.log_record(&rec)?;
-        }
-        let pid = self.fx.pred_id(pred);
-        match self.assert_ids_exact(pid, tuple.into()) {
-            Ok(outcome) => {
-                self.after_mutation();
-                Ok(outcome.new_fact)
-            }
-            Err(e) => Err(self.abort_logged(e)),
-        }
+        self.assert_batch(&[(pred, Args::Text(args))])
+            .map(|n| n > 0)
     }
 
     /// Assert a batch of string-argument facts; returns how many were new.
@@ -1048,106 +1094,34 @@ impl EngineSession {
     /// whole batch rolls back and the session state is exactly what it was
     /// before the call; on a poisoned session nothing is applied either.
     pub fn assert_facts(&mut self, facts: &[(&str, &[&str])]) -> Result<usize, EvalError> {
-        self.guard_poison()?;
-        // An oversized argument anywhere refuses the batch before logging
-        // and before an earlier fact interns its values.
-        for (_, args) in facts {
-            self.check_arg_lens(args)?;
-        }
-        if self.durability.is_some() && !facts.is_empty() {
-            let rec = WalRecord::AssertBatch(
-                facts
-                    .iter()
-                    .map(|(pred, args)| logged_fact_strs(pred, args))
-                    .collect(),
-            );
-            self.log_record(&rec)?;
-        }
-        let mut applied: Vec<(PredId, Box<[SeqId]>, AssertOutcome)> = Vec::new();
-        let mut added = 0;
-        for (pred, args) in facts {
-            let tuple = self.intern_tuple(args);
-            let pid = self.fx.pred_id(pred);
-            match self.assert_batch_step(pid, tuple.into(), &mut applied) {
-                Ok(n) => added += n,
-                Err(e) => {
-                    self.rollback_asserts(&applied);
-                    return Err(self.abort_logged(e));
-                }
-            }
-        }
-        self.after_mutation();
-        Ok(added)
-    }
-
-    /// One entry of an atomic batch: apply the assert with exact budgets
-    /// and record what it changed in `applied`, so a later
-    /// [`rollback_asserts`](EngineSession::rollback_asserts) can reverse
-    /// it. Returns 1 when the fact was new. The single place the batch
-    /// bookkeeping condition lives — `assert_facts` and `assert_db` both
-    /// route through it.
-    fn assert_batch_step(
-        &mut self,
-        pid: PredId,
-        tuple: Box<[SeqId]>,
-        applied: &mut Vec<(PredId, Box<[SeqId]>, AssertOutcome)>,
-    ) -> Result<usize, EvalError> {
-        let outcome = self.assert_ids_exact(pid, tuple.clone())?;
-        if outcome.new_fact || outcome.new_base {
-            applied.push((pid, tuple, outcome));
-        }
-        Ok(usize::from(outcome.new_fact))
+        let facts: Vec<_> = facts
+            .iter()
+            .map(|&(pred, args)| (pred, Args::Text(args)))
+            .collect();
+        self.assert_batch(&facts)
     }
 
     /// Assert one base fact over already-interned sequences (ids must come
     /// from this session's store — e.g. from
     /// [`assert_seq`](EngineSession::assert_seq), or from the owning
-    /// [`Engine`] before [`Engine::into_session`]). Budgets are enforced
-    /// exactly, as in [`assert_fact`](EngineSession::assert_fact).
+    /// [`Engine`] before [`Engine::into_session`]; an id the store never
+    /// issued is refused with [`EvalError::UnknownSeq`]). Lengths and
+    /// budgets are enforced exactly, as in
+    /// [`assert_fact`](EngineSession::assert_fact).
     pub fn assert_fact_ids(&mut self, pred: &str, tuple: &[SeqId]) -> Result<bool, EvalError> {
-        self.guard_poison()?;
-        if self.durability.is_some() {
-            let rec = WalRecord::AssertBatch(vec![self.logged_fact_ids(pred, tuple)]);
-            self.log_record(&rec)?;
-        }
-        let pid = self.fx.pred_id(pred);
-        match self.assert_ids_exact(pid, tuple.into()) {
-            Ok(outcome) => {
-                self.after_mutation();
-                Ok(outcome.new_fact)
-            }
-            Err(e) => Err(self.abort_logged(e)),
-        }
+        self.assert_batch(&[(pred, Args::Ids(tuple))])
+            .map(|n| n > 0)
     }
 
     /// Assert every fact of `db` (built against this session's store);
     /// returns how many were new. **Failure-atomic**, like
     /// [`assert_facts`](EngineSession::assert_facts).
     pub fn assert_db(&mut self, db: &Database) -> Result<usize, EvalError> {
-        self.guard_poison()?;
-        if self.durability.is_some() {
-            let logged: Vec<LoggedFact> = db
-                .iter()
-                .map(|(pred, tuple)| self.logged_fact_ids(pred, tuple))
-                .collect();
-            if !logged.is_empty() {
-                self.log_record(&WalRecord::AssertBatch(logged))?;
-            }
-        }
-        let mut applied: Vec<(PredId, Box<[SeqId]>, AssertOutcome)> = Vec::new();
-        let mut added = 0;
-        for (pred, tuple) in db.iter() {
-            let pid = self.fx.pred_id(pred);
-            match self.assert_batch_step(pid, tuple.into(), &mut applied) {
-                Ok(n) => added += n,
-                Err(e) => {
-                    self.rollback_asserts(&applied);
-                    return Err(self.abort_logged(e));
-                }
-            }
-        }
-        self.after_mutation();
-        Ok(added)
+        let facts: Vec<_> = db
+            .iter()
+            .map(|(pred, tuple)| (pred, Args::Ids(tuple)))
+            .collect();
+        self.assert_batch(&facts)
     }
 
     /// Retract one base fact with string arguments; returns `true` when the
@@ -1163,32 +1137,13 @@ impl EngineSession {
     /// [`Fixpoint::retract_facts`]. On failure the session poisons, exactly
     /// like [`run`](EngineSession::run).
     pub fn retract_fact(&mut self, pred: &str, args: &[&str]) -> Result<bool, EvalError> {
-        self.guard_poison()?;
-        let Some(pid) = self.fx.facts().lookup_pred(pred) else {
-            return Ok(false);
-        };
-        let Some(tuple) = self.lookup_tuple(args) else {
-            return Ok(false);
-        };
-        if self.durability.is_some() {
-            let rec = WalRecord::RetractBatch(vec![self.logged_fact_ids(pred, &tuple)]);
-            self.log_record(&rec)?;
-        }
-        let n = self.retract_ids_batch(vec![(pid, tuple.into())])?;
-        self.after_mutation();
-        Ok(n > 0)
+        self.retract_batch(&[(pred, Args::Text(args))])
+            .map(|n| n > 0)
     }
 
-    /// Resolve string arguments to interned ids **without interning**
-    /// anything (not even alphabet symbols): `None` when some argument was
-    /// never interned, in which case no such fact can exist.
-    fn lookup_tuple(&self, args: &[&str]) -> Option<Vec<SeqId>> {
-        args.iter().map(|s| self.lookup_seq(s)).collect()
-    }
-
-    /// [`lookup_tuple`](Self::lookup_tuple) for a `query_bound` pattern:
-    /// the `(position, id)` pair of every bound value, or `None` when one
-    /// was never interned (then no fact can match).
+    /// The `(position, id)` pair of every bound value of a `query_bound`
+    /// pattern, without interning: `None` when one was never interned
+    /// (then no fact can match).
     fn lookup_pattern(&self, pattern: &[Bind<'_>]) -> Option<Vec<(usize, SeqId)>> {
         bound_values(pattern)
             .map(|(i, s)| Some((i, self.lookup_seq(s)?)))
@@ -1201,19 +1156,10 @@ impl EngineSession {
     }
 
     /// [`retract_fact`](EngineSession::retract_fact) over already-interned
-    /// sequences.
+    /// sequences; an id the store never issued matches nothing.
     pub fn retract_fact_ids(&mut self, pred: &str, tuple: &[SeqId]) -> Result<bool, EvalError> {
-        self.guard_poison()?;
-        let Some(pid) = self.fx.facts().lookup_pred(pred) else {
-            return Ok(false);
-        };
-        if self.durability.is_some() {
-            let rec = WalRecord::RetractBatch(vec![self.logged_fact_ids(pred, tuple)]);
-            self.log_record(&rec)?;
-        }
-        let n = self.retract_ids_batch(vec![(pid, tuple.into())])?;
-        self.after_mutation();
-        Ok(n > 0)
+        self.retract_batch(&[(pred, Args::Ids(tuple))])
+            .map(|n| n > 0)
     }
 
     /// Retract every fact of `db` in one Delete-and-Rederive maintenance
@@ -1221,26 +1167,11 @@ impl EngineSession {
     /// predicates and non-base facts are skipped; if nothing qualifies the
     /// call is a pure no-op (count `0`, session untouched).
     pub fn retract_db(&mut self, db: &Database) -> Result<usize, EvalError> {
-        self.guard_poison()?;
-        let mut batch: Vec<(PredId, Box<[SeqId]>)> = Vec::new();
-        let mut logged: Vec<LoggedFact> = Vec::new();
-        for (pred, tuple) in db.iter() {
-            if let Some(pid) = self.fx.facts().lookup_pred(pred) {
-                if self.durability.is_some() {
-                    logged.push(self.logged_fact_ids(pred, tuple));
-                }
-                batch.push((pid, tuple.into()));
-            }
-        }
-        if batch.is_empty() {
-            return Ok(0);
-        }
-        if self.durability.is_some() {
-            self.log_record(&WalRecord::RetractBatch(logged))?;
-        }
-        let n = self.retract_ids_batch(batch)?;
-        self.after_mutation();
-        Ok(n)
+        let facts: Vec<_> = db
+            .iter()
+            .map(|(pred, tuple)| (pred, Args::Ids(tuple)))
+            .collect();
+        self.retract_batch(&facts)
     }
 
     /// True when the session knows `pred(args…)` as a *base* fact (i.e. a
@@ -1249,30 +1180,9 @@ impl EngineSession {
         let Some(pid) = self.fx.facts().lookup_pred(pred) else {
             return false;
         };
-        match self.lookup_tuple(args) {
+        match self.lookup_args(Args::Text(args)) {
             Some(tuple) => self.fx.is_base_fact(pid, &tuple),
             None => false,
-        }
-    }
-
-    /// Run one retraction maintenance pass, poisoning on failure (the same
-    /// discipline as [`run`](EngineSession::run)).
-    fn retract_ids_batch(
-        &mut self,
-        batch: Vec<(PredId, Box<[SeqId]>)>,
-    ) -> Result<usize, EvalError> {
-        match self.fx.retract_facts(
-            &self.program,
-            &mut self.store,
-            &self.registry,
-            &self.config,
-            &batch,
-        ) {
-            Ok(n) => Ok(n),
-            Err(e) => {
-                self.poisoned = Some(e.clone());
-                Err(e)
-            }
         }
     }
 
@@ -1669,25 +1579,16 @@ fn mismatch(detail: &str) -> EvalError {
     })
 }
 
-/// A [`LoggedFact`] for string arguments, split per character exactly like
-/// [`Alphabet::seq_of_str`] — interner-independent, so replay re-interns in
-/// the same order and reproduces identical ids.
-fn logged_fact_strs(pred: &str, args: &[&str]) -> LoggedFact {
-    LoggedFact {
-        pred: pred.to_string(),
-        args: args
-            .iter()
-            .map(|s| s.chars().map(String::from).collect())
-            .collect(),
-    }
-}
-
 /// Replay a log tail (records already filtered to `index >= snapshot
-/// coverage`) against a freshly restored scratch session, stopping before
-/// `limit`. A record followed by [`WalRecord::Abort`] was refused and rolled
-/// back live, so the pair is skipped whole; a replay failure reports the
-/// failing record's index so the caller can decide between truncating a
-/// poisoned tail and refusing to touch committed history.
+/// coverage`) against a freshly restored, non-durable scratch session
+/// through the same assert and retract batches and [`run`] the live
+/// mutators use, stopping before `limit`. A record followed by
+/// [`WalRecord::Abort`] was refused and rolled back live, so the pair is
+/// skipped whole; a replay failure reports the failing record's index so
+/// the caller can decide between truncating a poisoned tail and refusing
+/// to touch committed history.
+///
+/// [`run`]: EngineSession::run
 fn replay_records(
     s: &mut EngineSession,
     tail: &[&ReadRecord],
@@ -1702,23 +1603,28 @@ fn replay_records(
         let aborted = tail
             .get(i + 1)
             .is_some_and(|n| matches!(n.record, WalRecord::Abort));
-        match &r.record {
-            WalRecord::Abort => {}
+        let replayed = match &r.record {
+            WalRecord::Abort => Ok(()),
             _ if aborted => {
                 i += 2;
                 continue;
             }
-            WalRecord::AssertBatch(facts) => {
-                s.apply_assert_batch(facts).map_err(|e| (r.index, e))?;
-            }
-            WalRecord::RetractBatch(facts) => {
-                s.apply_retract_batch(facts).map_err(|e| (r.index, e))?;
-            }
-            WalRecord::Run => s.replay_run().map_err(|e| (r.index, e))?,
-        }
+            WalRecord::AssertBatch(facts) => s.assert_batch(&logged_args(facts)).map(drop),
+            WalRecord::RetractBatch(facts) => s.retract_batch(&logged_args(facts)).map(drop),
+            WalRecord::Run => s.run().map(drop),
+        };
+        replayed.map_err(|e| (r.index, e))?;
         i += 1;
     }
     Ok(())
+}
+
+/// A logged batch as entries of the session's assert and retract batches.
+fn logged_args(facts: &[LoggedFact]) -> Vec<(&str, Args<'_>)> {
+    facts
+        .iter()
+        .map(|f| (f.pred.as_str(), Args::Names(&f.args)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -1749,8 +1655,12 @@ mod tests {
             ..EvalConfig::default()
         };
         let mut s = e.into_session(&program, config).unwrap();
+        let dir = scratch_dir("oversized");
+        s.make_durable(&dir, DurabilityOptions::default()).unwrap();
         s.assert_fact("r", &["ab"]).unwrap();
+        let wide = s.assert_seq("abcdefgh").unwrap();
         let (seqs, syms) = (s.store.count(), s.alphabet.len());
+        let records = s.durable_records();
         // New letters, so interning even one symbol would show.
         let long = "xyz".repeat(67);
         let refused = |r: Result<_, EvalError>| {
@@ -1767,9 +1677,61 @@ mod tests {
             s.assert_facts(&[("r", &["xy"]), ("r", &[&long])]).map(drop)
         ));
         assert!(refused(s.assert_seq(&long).map(drop)));
+        // The id routes check an interned sequence's length the same way.
+        s.config_mut().max_seq_len = 4;
+        assert!(refused(s.assert_fact_ids("r", &[wide]).map(drop)));
+        let mut db = Database::new();
+        db.add("r", vec![s.store.empty()]);
+        db.add("r", vec![wide]);
+        assert!(refused(s.assert_db(&db).map(drop)));
         assert_eq!(s.store.count(), seqs);
         assert_eq!(s.alphabet.len(), syms);
+        // Every refusal came before logging: no record, no `Abort`.
+        assert_eq!(s.durable_records(), records);
         assert!(!s.is_poisoned());
+        assert_eq!(s.query("r").len(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A fresh directory under the system temp dir for a durable test
+    /// session.
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("seqlog-session-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn foreign_seq_ids_are_refused_before_logging() {
+        let mut e = Engine::new();
+        let program = e.parse_program("p(X) :- r(X).").unwrap();
+        let mut s = e.into_session(&program, EvalConfig::default()).unwrap();
+        let dir = scratch_dir("foreign");
+        s.make_durable(&dir, DurabilityOptions::default()).unwrap();
+        s.assert_fact("r", &["ab"]).unwrap();
+        // Ids another engine issued, past the end of this session's store.
+        let mut other = Engine::new();
+        let far = (0..64).map(|i| other.seq(&format!("w{i}"))).last();
+        let mut foreign = Database::new();
+        foreign.add("r", vec![far.unwrap()]);
+        let stranger = SeqId(1_000_000);
+        let before = (s.store.count(), s.alphabet.len(), s.durable_records());
+        assert!(matches!(
+            s.assert_fact_ids("r", &[stranger]),
+            Err(EvalError::UnknownSeq(id)) if id == stranger
+        ));
+        assert!(matches!(
+            s.assert_db(&foreign),
+            Err(EvalError::UnknownSeq(_))
+        ));
+        // A retraction of a fact no store id names is a no-op.
+        assert!(!s.retract_fact_ids("r", &[stranger]).unwrap());
+        assert_eq!(s.retract_db(&foreign).unwrap(), 0);
+        let after = (s.store.count(), s.alphabet.len(), s.durable_records());
+        assert_eq!(after, before, "nothing interned, nothing logged");
+        assert!(!s.is_poisoned());
+        assert_eq!(s.query("r"), vec![vec!["ab".to_string()]]);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     fn probe(s: &mut EngineSession, pred: &str, key: &str) -> DemandAnswer {

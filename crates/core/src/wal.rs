@@ -4,10 +4,14 @@
 //! mutation of a durable session — an assert batch, a retract batch, a
 //! [`run`](crate::session::EngineSession::run) — is appended **before** the
 //! in-memory commit, so the on-disk history is always a superset of any
-//! acknowledged state. Records are logical rather than physical: a fact is
-//! its predicate *name* plus, per argument, the argument's *symbol names*
-//! (not `SeqId`s/`Sym`s), so replay re-interns through the ordinary session
-//! paths and the append-only interners reproduce identical ids. That is
+//! acknowledged state. A session checks every argument of an assert (its
+//! length, and that an id was issued by its store) before logging, so the
+//! only logged assert batch that can still be refused is a budget refusal,
+//! which is followed by an `Abort` record. Records are logical rather than
+//! physical: a fact is its predicate *name* plus, per argument, the
+//! argument's *symbol names* (not `SeqId`s/`Sym`s), so replay re-interns
+//! through the same assert and retract batches the live mutators use, and
+//! the append-only interners reproduce identical ids. That is
 //! what keeps recovery honest about constructive-clause domain growth: the
 //! extended active domain is a function of the interpretation (Definition
 //! 4) and is rebuilt by replay, never read from disk.

@@ -11,6 +11,7 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use seqlog_core::database::Database;
 use seqlog_core::engine::Engine;
 use seqlog_core::eval::{BudgetKind, EvalConfig, EvalError, EvalStats};
 use seqlog_core::session::{DurabilityOptions, EngineSession};
@@ -383,9 +384,9 @@ fn budget_refused_assert_is_compensated_and_replays_as_a_noop() {
     };
     let mut s = open_durable(SRC, config, dir.path(), Default::default());
     s.assert_fact("r", &["ab"]).unwrap();
-    // Refused (SeqLen) *after* logging on the ids route is impossible —
-    // string asserts check before logging — so provoke a Facts refusal,
-    // which happens after the record is appended.
+    // Every route checks lengths and ids before logging, so a SeqLen
+    // refusal never reaches the log; a Facts refusal is the one that
+    // happens after the record is appended.
     let config2 = EvalConfig {
         max_facts: 1,
         ..EvalConfig::default()
@@ -515,4 +516,32 @@ fn ids_route_asserts_and_retracts_replay_identically() {
     drop(s);
     let recovered = open_durable(SRC, EvalConfig::default(), dir.path(), Default::default());
     assert_eq!(state(&recovered), live);
+    let ids_log = fs::read(dir.path().join(WAL_FILE)).unwrap();
+
+    // The string route and the batch routes of the same facts, one fact per
+    // call, log byte-identical records: the log holds facts, not routes.
+    let text = TempDir::new("ids-text");
+    let mut s = open_durable(SRC, EvalConfig::default(), text.path(), Default::default());
+    s.assert_fact("r", &["abca"]).unwrap();
+    s.assert_fact("r", &["bb"]).unwrap();
+    s.run().unwrap();
+    s.retract_fact("r", &["bb"]).unwrap();
+    assert_eq!(state(&s), live);
+    drop(s);
+    let batch = TempDir::new("ids-batch");
+    let mut s = open_durable(SRC, EvalConfig::default(), batch.path(), Default::default());
+    s.assert_facts(&[("r", &["abca"])]).unwrap();
+    let mut db = Database::new();
+    db.add("r", vec![s.assert_seq("bb").unwrap()]);
+    s.assert_db(&db).unwrap();
+    s.run().unwrap();
+    s.retract_db(&db).unwrap();
+    assert_eq!(state(&s), live);
+    drop(s);
+    let header = WAL_HEADER_LEN as usize;
+    assert!(ids_log.len() > header);
+    for other in [&text, &batch] {
+        let log = fs::read(other.path().join(WAL_FILE)).unwrap();
+        assert_eq!(log[header..], ids_log[header..]);
+    }
 }

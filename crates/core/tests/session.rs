@@ -708,19 +708,35 @@ fn batch_asserts_on_poisoned_sessions_apply_nothing() {
         ..EvalConfig::default()
     };
     let mut s = session("p(X[2:end]) :- p(X), X != \"\".", config);
+    let dir = std::env::temp_dir().join(format!("seqlog-poisoned-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    s.make_durable(&dir, Default::default()).unwrap();
     s.assert_fact("p", &["aaaaaaaa"]).unwrap();
+    let id = s.assert_seq("zz").unwrap();
     assert!(s.run().is_err(), "the chain needs more than 2 rounds");
     assert!(s.is_poisoned());
     let facts_before = s.stats().facts;
+    let records_before = s.durable_records();
     match s.assert_facts(&[("p", &["zz"] as &[&str]), ("p", &["yy"])]) {
         Err(EvalError::Poisoned { .. }) => {}
         other => panic!("expected Poisoned, got {other:?}"),
     }
+    let mut db = Database::new();
+    db.add("p", vec![id]);
+    let refusals = [
+        s.assert_fact("p", &["zz"]).map(drop),
+        s.assert_fact_ids("p", &[id]).map(drop),
+        s.assert_db(&db).map(drop),
+        s.retract_fact("p", &["aaaaaaaa"]).map(drop),
+        s.retract_fact_ids("p", &[id]).map(drop),
+        s.retract_db(&db).map(drop),
+    ];
+    for r in refusals {
+        assert!(matches!(r, Err(EvalError::Poisoned { .. })), "{r:?}");
+    }
     assert_eq!(s.stats().facts, facts_before, "nothing applied");
-    assert!(matches!(
-        s.retract_fact("p", &["aaaaaaaa"]),
-        Err(EvalError::Poisoned { .. })
-    ));
+    assert_eq!(s.durable_records(), records_before, "nothing logged");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Every dispatch configuration the sharded-commit matrix cares about:

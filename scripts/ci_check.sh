@@ -30,7 +30,9 @@
 # the session-backed front door), the SL001..SL009 lint analyzer over the
 # program corpus with machine-level lints, the Fig. 3 / Example 8.1
 # strong-safety audit (examples/safety_audit.rs asserts each verdict),
-# a zero-warning rustdoc build, and a zero-warning clippy
+# the durable_session and live_session examples (each asserts recovery,
+# the torn-tail cut or the retraction extents and exits non-zero on a
+# miss), a zero-warning rustdoc build, and a zero-warning clippy
 # pass over every
 # target. The fuzz
 # generators are seeded from test names (see crates/shims/proptest), so a
@@ -137,6 +139,12 @@ cargo run --release -q --example analyze -- --check --machines examples/programs
 echo "==> safety audit (examples/safety_audit.rs): the Fig. 3 / Example 8.1"
 echo "    strong-safety verdicts of Engine::analyze, asserted program by program"
 cargo run --release -q --example safety_audit
+
+echo "==> durable and live session examples: each asserts its own outcome —"
+echo "    crash recovery to the same model, the torn-tail cut back to the last"
+echo "    whole record, and the extents after retraction"
+cargo run --release -q --example durable_session
+cargo run --release -q --example live_session
 
 echo "==> cargo doc --workspace --no-deps (zero rustdoc warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

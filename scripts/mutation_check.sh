@@ -3,7 +3,8 @@
 #
 # Each scripts/mutants/<name>.patch breaks one mechanism of the engine on
 # purpose (a log reader without checksums, a snapshot restore with stale
-# watermarks, a magic-set rewrite without its guard, ...). This script
+# watermarks, a magic-set rewrite without its guard, a log replay that
+# applies aborted batches, ...). This script
 # copies the working tree once into a temporary directory and, for each
 # patch in the table below:
 #
@@ -33,6 +34,7 @@ checks=(
   "drop_magic_guard|fuzz_demand|demand_scratch_stays_in_the_goal_cone"
   "skip_fallback|fuzz_demand|pinned_gd_with_outside_cone_construction"
   "commit_order|fuzz_differential|sharded_commit_is_bit_for_bit_at_every_thread_count"
+  "replay_keeps_aborted|durability|budget_refused_assert_is_compensated_and_replays_as_a_noop"
 )
 
 if [ "$#" -gt 0 ]; then
@@ -69,12 +71,21 @@ git -C "$root" ls-files -z --cached --others --exclude-standard |
   done |
   tar -C "$root" --null -T - -cf - | tar -C "$tree" -xf -
 git -C "$tree" init -q
+# The copy keeps the working tree's modification times, which can be older
+# than a build of a patched tree that a previous run left in
+# $MUTATION_TARGET_DIR; cargo would then take that build as fresh. Touch
+# every file any patch edits so it is rebuilt from the copy.
+sed -n 's|^+++ b/\([^[:space:]]*\).*|\1|p' "$root"/scripts/mutants/*.patch | sort -u |
+  while IFS= read -r f; do
+    touch "$tree/$f"
+  done
 
-# run_test <target> <test> <log>: run exactly one test; prints "passed",
-# "failed", or "missing" (the filter matched no test).
+# run_test <target> <test> <log>: run exactly one test of the test target
+# of that name in any workspace package; prints "passed", "failed", or
+# "missing" (the filter matched no test).
 run_test() {
   local status=0
-  (cd "$tree" && cargo test -q -p sequence-datalog --test "$1" -- --exact "$2") >"$3" 2>&1 ||
+  (cd "$tree" && cargo test -q --workspace --test "$1" -- --exact "$2") >"$3" 2>&1 ||
     status=$?
   if grep -q "test result: .* 1 passed" "$3" && [ "$status" -eq 0 ]; then
     echo passed

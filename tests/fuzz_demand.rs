@@ -161,7 +161,10 @@ fn mutant_skipped_fallback_is_caught_by_extents() {
     let compiled = compile(&e.parse_program(program).unwrap()).unwrap();
     let goal = compiled.preds.lookup("gd0").unwrap();
     let magic = magic_transform(&compiled, goal, &Adornment::from_mask(&[false, false]));
-    assert!(magic.full_fallback, "the domain-sensitive cone must fall back");
+    assert!(
+        magic.full_fallback,
+        "the domain-sensitive cone must fall back"
+    );
 
     let batches = vec![vec![("r0".to_string(), "ab".to_string())]];
     let full = FuzzCase {
