@@ -35,7 +35,6 @@ fn chain_program(depth: usize) -> String {
 fn config(strategy: Strategy) -> EvalConfig {
     EvalConfig {
         strategy,
-        threads: 1,
         ..EvalConfig::default()
     }
 }

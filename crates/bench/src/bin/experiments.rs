@@ -1,5 +1,6 @@
 //! The experiment runner: regenerates every figure and quantitative claim
-//! of the paper as printed tables (the series recorded in EXPERIMENTS.md).
+//! of the paper as printed tables on standard output (no results file is
+//! kept in the repository; rerun it to reproduce them).
 //!
 //! Run with: `cargo run -p seqlog-bench --bin experiments --release`
 

@@ -1,9 +1,9 @@
 //! Shared workload builders for the benchmark harness and the experiment
 //! runner.
 //!
-//! Every figure and quantitative claim of the paper maps to one experiment
-//! (see DESIGN.md §3 for the index and EXPERIMENTS.md for recorded
-//! results). The builders are deterministic (seeded `StdRng`) so benchmark
+//! Every figure and quantitative claim of the paper maps to one experiment,
+//! printed by the `experiments` binary (`src/bin/experiments.rs`); the
+//! benches are listed in README.md's "Tests and benchmarks". The builders are deterministic (seeded `StdRng`) so benchmark
 //! runs and the printed experiment report see identical workloads.
 
 use rand::rngs::StdRng;
@@ -57,10 +57,9 @@ pub const REP2_SRC: &str = r#"
     rep2(X ++ Y, Y) :- rep2(X, Y).
 "#;
 
-/// The parallel-scaling self-join workload: `grow` shrinks every seed one
-/// symbol per round (large per-round deltas), and `pairs` squares it — the
-/// kind of wide round whose match phase the evaluator spreads across
-/// threads (the commit that follows is sequential).
+/// The `parallel_scaling` self-join workload: `grow` shrinks every seed
+/// one symbol per round (large per-round deltas), and `pairs` squares it —
+/// wide rounds whose match and commit phases both grow with the delta.
 pub const PAIRS_SRC: &str = r#"
     grow(X[2:end]) :- grow(X), X != "".
     pairs(X, Y) :- grow(X), grow(Y).

@@ -153,14 +153,12 @@ impl Engine {
 
     /// Evaluate with an explicit configuration.
     ///
-    /// [`EvalConfig::threads`] controls the match-phase worker count
-    /// (`0` ⇒ all available cores); results are bit-for-bit identical for
-    /// every setting — see the `eval` module docs on determinism.
-    ///
     /// A thin wrapper over [`EngineSession`]: the engine's interners and
     /// registry move into a session, the database is seeded, the session
     /// runs once, and the interners (grown by the evaluation) and the
-    /// unchanged registry move back, on the error path too.
+    /// unchanged registry move back, on the error path too. A `db` holding
+    /// an id this engine's store never issued is refused with
+    /// [`EvalError::UnknownSeq`] before anything is seeded.
     pub fn evaluate_with(
         &mut self,
         program: &Program,
@@ -174,8 +172,10 @@ impl Engine {
     }
 
     /// Move the interners and registry into a session over `program` with
-    /// `db` seeded as its base facts. A compile error leaves the engine as
-    /// it was; otherwise hand them back with [`Engine::take_back`].
+    /// `db` seeded as its base facts. A compile error, or an id in `db`
+    /// that this engine's store never issued ([`EvalError::UnknownSeq`]),
+    /// leaves the engine as it was; otherwise hand them back with
+    /// [`Engine::take_back`].
     fn open_seeded(
         &mut self,
         program: &Program,
@@ -184,7 +184,10 @@ impl Engine {
     ) -> Result<EngineSession, EvalError> {
         let compiled = crate::compile::compile(program)?;
         let mut session = EngineSession::open_compiled(std::mem::take(self), compiled, *config);
-        session.seed_db(db);
+        if let Err(e) = session.seed_db(db) {
+            self.take_back(session);
+            return Err(e);
+        }
         Ok(session)
     }
 

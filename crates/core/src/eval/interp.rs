@@ -152,9 +152,9 @@ impl TupleIndex {
 /// withdrawn) until [`Relation::compact`] rebuilds the dense representation.
 /// Positions are therefore stable across a batch of removals — which is what
 /// the retraction machinery relies on — and compaction preserves the
-/// relative insertion order of the surviving tuples, so the engine's
-/// thread-determinism guarantee (identical per-relation iteration order for
-/// every thread count) is unaffected by deletions.
+/// relative insertion order of the surviving tuples, so per-relation
+/// iteration order stays a function of the history of asserts and
+/// retractions.
 #[derive(Clone, Debug, Default)]
 pub struct Relation {
     tuples: Vec<Box<[SeqId]>>,

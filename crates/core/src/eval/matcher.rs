@@ -22,8 +22,9 @@
 //! every sequence a substitution can reach is *window-closed* — extended
 //! active domain members by Definition 2's closure invariant, and program
 //! constants because the evaluator pre-closes them — so any defined window
-//! already has an interned handle. A shared store is what lets the evaluator
-//! shard one round's match work across threads.
+//! already has an interned handle. This is what lets a round match every
+//! task against one unchanging interpretation before its commit interns
+//! anything.
 //!
 //! The search is also **allocation-free in its steady state**: one scratch
 //! [`Bindings`] per clause evaluation, mutated in place through a bind/undo
@@ -137,8 +138,8 @@ pub enum IdxVal {
 
 /// Read-only context for matching. All fields are shared borrows — matching
 /// never mutates the store (indexed terms resolve by lookup against
-/// window-closed bases), which is what allows a round's match work to be
-/// sharded across threads.
+/// window-closed bases), so a round's match phase sees one fixed
+/// interpretation.
 pub struct MatchEnv<'a> {
     /// Sequence interner (read-only during matching).
     pub store: &'a SeqStore,

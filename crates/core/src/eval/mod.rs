@@ -8,39 +8,38 @@
 //! round, and every sequence occurring in a committed fact enters the domain
 //! together with its contiguous subsequences.
 //!
-//! # Two-phase rounds: parallel match, sequential commit
+//! # Two-phase rounds: match, then commit
 //!
-//! Every round runs in two phases:
+//! Every round runs in two phases, one after the other on the calling
+//! thread:
 //!
-//! 1. **Match** — parallel, read-only on shared state. The round's work is
-//!    split into *match tasks* (one clause, optionally restricted to a
+//! 1. **Match** — read-only on shared state. The round's work is split
+//!    into *match tasks* (one clause, optionally restricted to a
 //!    fixed-size chunk of one body literal's semi-naive delta, or to a
 //!    chunk of DRed's re-derivation goals). Each task runs the matcher
-//!    over shared `&SeqStore`/`&FactStore`/`&ExtendedDomain` borrows and
-//!    emits *recipes* (fully bound substitutions, flat in a per-task
-//!    buffer). Nothing shared is mutated, which is why tasks can
-//!    run on [`EvalConfig::threads`] worker threads (`std::thread::scope`)
-//!    with no synchronization beyond a task counter. The buffers come back
-//!    in task order, whichever worker ran which task.
-//! 2. **Commit** — sequential, in task order. Each task's recipes are
-//!    walked in emission order: the clause head is evaluated under the
-//!    recipe against `&mut SeqStore`, interning fresh values
-//!    (concatenations, transducer outputs, windows) directly; a goal
-//!    recipe keeps only its goal; the tuple goes through one
-//!    [`interp::Relation::insert`]; a new fact's sequences are closed into
-//!    the domain; statistics accumulate; and the budgets are checked after
-//!    every new fact — a single wide round cannot overshoot `max_facts` by
-//!    more than one fact. The first head-evaluation or budget error stops
-//!    the walk at its recipe.
+//!    over `&SeqStore`/`&FactStore`/`&ExtendedDomain` borrows and emits
+//!    *recipes* (fully bound substitutions, flat in a per-task buffer).
+//! 2. **Commit** — in task order. Each task's recipes are walked in
+//!    emission order: the clause head is evaluated under the recipe
+//!    against `&mut SeqStore`, interning fresh values (concatenations,
+//!    transducer outputs, windows) directly; a goal recipe keeps only its
+//!    goal; the tuple goes through one [`interp::Relation::insert`]; a new
+//!    fact's sequences are closed into the domain; statistics accumulate;
+//!    and the budgets are checked after every new fact — a single wide
+//!    round cannot overshoot `max_facts` by more than one fact. The first
+//!    head-evaluation or budget error stops the walk at its recipe.
 //!
-//! Evaluation is **bit-for-bit deterministic**: the task list depends only
-//! on the program and the interpretation (never on the thread count), the
-//! match phase returns its buffers in task order, and the commit is one
-//! sequential walk over them. The model, each relation's insertion order,
-//! the interner's id numbering, and [`EvalStats`] are therefore identical
-//! for every `threads` setting, including `threads: 1`, on success and on
-//! error alike. Workers hold only shared borrows, so none of them can
-//! intern: a head value can only be created by the commit walk.
+//! The phases stay apart because the commit mutates the relations, the
+//! store and the domain that the match iterates: every substitution of a
+//! round ranges over the interpretation *entering* the round (the
+//! T-operator of Section 3.3), never over facts the same round added.
+//!
+//! Evaluation is **deterministic by construction**: one thread runs the
+//! task list in order, and the task list depends only on the program and
+//! the interpretation. The model, each relation's insertion order, the
+//! interner's id numbering, and [`EvalStats`] are therefore a function of
+//! the program, the database and the configuration, on success and on
+//! error alike.
 //!
 //! Read-only matching leans on the closure invariant of Definition 2: every
 //! window of a domain member is already interned, so indexed terms resolve
@@ -115,7 +114,6 @@ use matcher::{solve_body, solve_body_bound, Bindings, Delta, MatchEnv};
 use seqlog_sequence::{ExtendedDomain, FxHashSet, SeqId, SeqStore, Sym};
 use seqlog_transducer::{ExecLimits, ExecStats};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Evaluation strategy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -142,17 +140,6 @@ pub struct EvalConfig {
     pub max_seq_len: usize,
     /// Budgets for embedded transducer runs.
     pub exec_limits: ExecLimits,
-    /// Worker threads for the match phase. `0` (the default) resolves to
-    /// [`std::thread::available_parallelism`]. The commit phase is always
-    /// sequential, and the result is identical for every setting — see the
-    /// module docs on determinism.
-    pub threads: usize,
-    /// Smallest estimated candidate-tuple count of a round for which the
-    /// match phase spawns workers (default 4096; `0` sends every round
-    /// with more than one task to the multi-worker match). Purely a
-    /// dispatch decision: the task list and recipe order are the same on
-    /// either side of it, so results never depend on it.
-    pub parallel_threshold: usize,
     /// Run the compile-time transducer-fusion pass
     /// ([`crate::analysis::fuse`]) when a session opens (default `true`).
     /// With `false`, chained transducer calls are evaluated stage by stage.
@@ -170,8 +157,6 @@ impl Default for EvalConfig {
             max_domain: 1_000_000,
             max_seq_len: 65_536,
             exec_limits: ExecLimits::default(),
-            threads: 0,
-            parallel_threshold: 4096,
             fusion: true,
         }
     }
@@ -190,12 +175,11 @@ impl EvalConfig {
         }
     }
 
-    /// The default configuration with an explicit match-phase thread count.
-    pub fn with_threads(threads: usize) -> Self {
-        Self {
-            threads,
-            ..Self::default()
-        }
+    /// The default configuration. Evaluation runs on the calling thread,
+    /// so the thread count is ignored; the constructor remains for callers
+    /// written when the match phase had worker threads.
+    pub fn with_threads(_threads: usize) -> Self {
+        Self::default()
     }
 }
 
@@ -247,9 +231,10 @@ pub enum EvalError {
     },
     /// A transducer term refers to a machine that is not registered.
     UnknownTransducer(String),
-    /// An id-route assert named a sequence id the session's store never
-    /// issued. Refused before anything is logged or interned; the session
-    /// is not poisoned.
+    /// A database handed to an assert or to batch evaluation named a
+    /// sequence id the store never issued. Refused before anything is
+    /// logged, interned or seeded; a session is not poisoned, and an
+    /// [`crate::engine::Engine`] keeps its interners.
     UnknownSeq(SeqId),
     /// A transducer run failed (stuck machine or exec budget).
     Transducer {
@@ -332,7 +317,7 @@ impl Model {
     }
 }
 
-/// One shard of a round's match work: one clause, optionally restricted to
+/// One unit of a round's match work: one clause, optionally restricted to
 /// a chunk `from..to` of body-literal `at`'s semi-naive delta, or bound to
 /// a chunk of the round's goal tuples.
 #[derive(Clone, Copy, Debug)]
@@ -358,9 +343,10 @@ impl MatchTask {
     }
 }
 
-/// Delta tuples per task. Fixed (never derived from the thread count) so
-/// the task list — and with it the recipe commit order — is identical for
-/// every `EvalConfig::threads` setting.
+/// Delta tuples (or DRed goals) per task. The chunks fix the commit order:
+/// the matcher picks its literal order from candidate counts, so a
+/// different chunking can reorder a round's recipes, and with them the
+/// insertion order and the interner's id numbering.
 const DELTA_CHUNK: usize = 256;
 
 /// Recipes of one task: fully bound substitutions for the task's clause,
@@ -833,8 +819,7 @@ impl Fixpoint {
     ///
     /// Determinism is inherited from the two-phase rounds: stratum order,
     /// each round's task list, and the task-order commit depend only on
-    /// the program and the interpretation — never the thread count — so
-    /// results are bit-for-bit identical for every `threads` setting.
+    /// the program and the interpretation.
     ///
     /// The global watermarks (`sizes_done` / `domain_done` / `virgin`)
     /// advance only when the run *succeeds*: per-stratum watermarks
@@ -980,9 +965,8 @@ impl Fixpoint {
         Ok(())
     }
 
-    /// One round over a planned task list: the parallel match
-    /// ([`match_eval_round`]) then the sequential commit
-    /// ([`commit_round`]). Every round goes through here — the round
+    /// One round over a planned task list: the match (every task through
+    /// [`run_match_task`], in order) then the commit ([`commit_round`]). Every round goes through here — the round
     /// loop's and DRed's re-derive round alike. Counts the round and
     /// returns how many facts it added. Goal tasks index `goals`; delta
     /// tasks measure their pre-round prefix against `sizes_before`
@@ -1000,10 +984,6 @@ impl Fixpoint {
         registry: &TransducerRegistry,
         config: &EvalConfig,
     ) -> Result<usize, EvalError> {
-        let threads = match config.threads {
-            0 => default_threads(),
-            n => n,
-        };
         self.stats.rounds += 1;
         // Snapshot for free-variable enumeration: substitutions in this
         // round range over the domain of the interpretation entering it.
@@ -1017,18 +997,25 @@ impl Fixpoint {
         {
             members.extend(self.domain.iter());
         }
-        let bufs = match_eval_round(
-            program,
-            tasks,
-            goals,
-            store,
-            &self.facts,
-            &self.domain,
-            members,
-            sizes_before.unwrap_or(&self.sizes_done),
-            config,
-            threads,
-        );
+        let sizes_before = sizes_before.unwrap_or(&self.sizes_done);
+        let bufs: Vec<RecipeBuf> = tasks
+            .iter()
+            .map(|task| {
+                let mut buf = RecipeBuf::default();
+                run_match_task(
+                    program,
+                    task,
+                    goals,
+                    store,
+                    &self.facts,
+                    &self.domain,
+                    members,
+                    sizes_before,
+                    &mut buf,
+                );
+                buf
+            })
+            .collect();
         commit_round(
             program,
             tasks,
@@ -1169,8 +1156,7 @@ impl Fixpoint {
         // Everything here only *marks*: the store keeps the pre-retraction
         // interpretation, so matching over it is exactly matching over the
         // old `I` that classic DRed's over-deletion rule prescribes. The
-        // loop is sequential and worklist-ordered, hence deterministic for
-        // every thread count.
+        // loop is worklist-ordered, hence deterministic.
         let sizes_full = self.facts.sizes();
         // Only domain-sensitive clauses enumerate members (as in `round`).
         let members: Vec<SeqId> = if ds_heads.is_empty() {
@@ -1393,119 +1379,6 @@ fn domain_of(store: &mut SeqStore, facts: &FactStore) -> ExtendedDomain {
         }
     }
     domain
-}
-
-/// `available_parallelism()`, resolved once per process: on Linux it reads
-/// cgroup quota files, which costs tens of microseconds — too much to pay
-/// per evaluation of a small program.
-fn default_threads() -> usize {
-    static N: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *N.get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
-}
-
-/// Rough work estimate for one task, in candidate tuples.
-fn task_cost(
-    program: &CompiledProgram,
-    task: &MatchTask,
-    facts: &FactStore,
-    members: usize,
-) -> usize {
-    let clause = &program.clauses[task.clause];
-    let atoms_len = |skip: Option<usize>| -> usize {
-        clause
-            .body
-            .iter()
-            .enumerate()
-            .filter(|&(li, _)| Some(li) != skip)
-            .map(|(_, lit)| match lit {
-                CBody::Atom(a) => facts.relation(a.pred).len(),
-                _ => 0,
-            })
-            .sum()
-    };
-    if let Some((from, to)) = task.goals {
-        // Each goal is one bound probe, not a scan.
-        return to - from;
-    }
-    match task.delta {
-        Some((at, from, to)) => (to - from).saturating_mul(1 + atoms_len(Some(at))),
-        None => {
-            let base = atoms_len(None);
-            if clause.domain_sensitive {
-                base.max(members)
-            } else {
-                base
-            }
-        }
-    }
-}
-
-/// Phase 1: run every match task, on `threads` workers when worthwhile.
-/// Buffers are returned in task order regardless of which worker ran
-/// which task. Read-only on all shared state.
-#[allow(clippy::too_many_arguments)]
-fn match_eval_round(
-    program: &CompiledProgram,
-    tasks: &[MatchTask],
-    goals: &[Box<[SeqId]>],
-    store: &SeqStore,
-    facts: &FactStore,
-    domain: &ExtendedDomain,
-    members: &[SeqId],
-    sizes_before: &[usize],
-    config: &EvalConfig,
-    threads: usize,
-) -> Vec<RecipeBuf> {
-    let workers = threads.min(tasks.len());
-    let estimated: usize = tasks
-        .iter()
-        .map(|t| task_cost(program, t, facts, members.len()))
-        .fold(0usize, usize::saturating_add);
-    let run_one = |task: &MatchTask| -> RecipeBuf {
-        let mut buf = RecipeBuf::default();
-        run_match_task(
-            program,
-            task,
-            goals,
-            store,
-            facts,
-            domain,
-            members,
-            sizes_before,
-            &mut buf,
-        );
-        buf
-    };
-    if workers <= 1 || estimated < config.parallel_threshold {
-        return tasks.iter().map(run_one).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<RecipeBuf>> = Vec::new();
-    slots.resize_with(tasks.len(), || None);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut local: Vec<(usize, RecipeBuf)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(task) = tasks.get(i) else { break };
-                        local.push((i, run_one(task)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, buf) in h.join().expect("match worker panicked") {
-                slots[i] = Some(buf);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every task claimed exactly once"))
-        .collect()
 }
 
 /// Run one task's matching and head-variable enumeration, appending a

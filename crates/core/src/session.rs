@@ -42,12 +42,11 @@
 //!
 //! For any split of a database into batches, asserting the batches in order
 //! with a `run` after each yields the **same extents** as one batch
-//! evaluation of the union — and, like batch evaluation, the result is
-//! bit-for-bit identical for every `EvalConfig::threads` setting. (The
-//! per-relation *insertion order* may differ from the batch order, because
-//! facts settle in arrival order; set-level extents are identical. This is
-//! differentially fuzzed in `tests/fuzz_differential.rs` and checked for
-//! every paper example in `tests/paper_examples.rs`.)
+//! evaluation of the union. (The per-relation *insertion order* may differ
+//! from the batch order, because facts settle in arrival order; set-level
+//! extents are identical. This is differentially fuzzed in
+//! `tests/fuzz_differential.rs` and checked for every paper example in
+//! `tests/paper_examples.rs`.)
 //!
 //! # Retraction
 //!
@@ -56,9 +55,9 @@
 //! retracted; derived facts disappear exactly when they lose all base
 //! support. After any `retract_*` call that **takes effect** (returns
 //! `true`, or a positive count), the session is settled at
-//! `lfp(T_{P,db'})` for the surviving base set `db'` — bit-for-bit equal
-//! across thread counts, and extent-equal to a fresh batch evaluation of
-//! the survivors (the differential oracle in `tests/fuzz_differential.rs`).
+//! `lfp(T_{P,db'})` for the surviving base set `db'` — extent-equal to a
+//! fresh batch evaluation of the survivors (the differential oracle in
+//! `tests/fuzz_differential.rs`).
 //! Deletion under recursion is where naive implementations go wrong, so the
 //! engine uses Delete-and-Rederive with an explicit *domain shrinkage* step:
 //! the extended active domain is a function of the interpretation
@@ -168,11 +167,11 @@
 //!
 //! The recovery oracle (fuzzed with crash injection in
 //! `tests/fuzz_recovery.rs`): a recovered session is **bit-for-bit equal**
-//! — relation extents, insertion order, stats invariants, for every
-//! `EvalConfig::threads` — to a fresh session that applies the surviving
-//! logged history in order. Equivalently, after a final `run`, its model
-//! equals a fresh batch evaluation of the surviving base facts, by the
-//! equivalence guarantee above.
+//! — relation extents, insertion order, stats invariants — to a fresh
+//! session that applies the surviving logged history in order.
+//! Equivalently, after a final `run`, its model equals a fresh batch
+//! evaluation of the surviving base facts, by the equivalence guarantee
+//! above.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -379,12 +378,17 @@ impl EngineSession {
     /// (Definition 4: database atoms are clauses with empty bodies). Unlike
     /// [`assert_db`](EngineSession::assert_db) nothing is logged and
     /// budgets are not checked per fact: the next run enforces them, as
-    /// batch evaluation always has.
-    pub(crate) fn seed_db(&mut self, db: &Database) {
+    /// batch evaluation always has. An id this session's store never
+    /// issued refuses the whole database ([`EvalError::UnknownSeq`])
+    /// before anything is seeded.
+    pub(crate) fn seed_db(&mut self, db: &Database) -> Result<(), EvalError> {
+        db.iter()
+            .try_for_each(|(_, tuple)| tuple.iter().try_for_each(|&id| self.check_issued(id)))?;
         for (pred, tuple) in db.iter() {
             let pid = self.fx.pred_id(pred);
             self.fx.assert_fact(&mut self.store, pid, tuple.into());
         }
+        Ok(())
     }
 
     /// Consume the session into the engine it was opened from and its
@@ -823,13 +827,20 @@ impl EngineSession {
                 .iter()
                 .try_for_each(|s| self.check_seq_len(s.chars().count())),
             Args::Ids(ids) => ids.iter().try_for_each(|&id| {
-                if id.index() >= self.store.count() {
-                    return Err(EvalError::UnknownSeq(id));
-                }
+                self.check_issued(id)?;
                 self.check_seq_len(self.store.len_of(id))
             }),
             Args::Names(names) => names.iter().try_for_each(|n| self.check_seq_len(n.len())),
         }
+    }
+
+    /// The refusal of an id this session's store never issued, shared by
+    /// [`check_args`](Self::check_args) and [`seed_db`](Self::seed_db).
+    fn check_issued(&self, id: SeqId) -> Result<(), EvalError> {
+        if id.index() >= self.store.count() {
+            return Err(EvalError::UnknownSeq(id));
+        }
+        Ok(())
     }
 
     /// The `max_seq_len` refusal for a sequence of `len` symbols, shared by
@@ -1062,8 +1073,8 @@ impl EngineSession {
 
     /// Intern `text` as a sequence and window-close it, so it can serve as
     /// an indexed base as soon as it reaches the matcher. Use with
-    /// [`assert_fact_ids`](EngineSession::assert_fact_ids) to build tuples
-    /// without going through string arguments twice. Like every `assert_*`,
+    /// [`assert_db`](EngineSession::assert_db) to build tuples without
+    /// going through string arguments twice. Like every `assert_*`,
     /// refused on a poisoned session (the update surface closes uniformly)
     /// and on sequences longer than `max_seq_len` (rejected before the
     /// quadratic window closure; the session stays healthy).
@@ -1101,21 +1112,14 @@ impl EngineSession {
         self.assert_batch(&facts)
     }
 
-    /// Assert one base fact over already-interned sequences (ids must come
-    /// from this session's store — e.g. from
-    /// [`assert_seq`](EngineSession::assert_seq), or from the owning
-    /// [`Engine`] before [`Engine::into_session`]; an id the store never
-    /// issued is refused with [`EvalError::UnknownSeq`]). Lengths and
+    /// Assert every fact of `db` over already-interned sequences; returns
+    /// how many were new. The ids must come from this session's store —
+    /// e.g. from [`assert_seq`](EngineSession::assert_seq), or from the
+    /// owning [`Engine`] before [`Engine::into_session`]; an id the store
+    /// never issued is refused with [`EvalError::UnknownSeq`]. Lengths and
     /// budgets are enforced exactly, as in
-    /// [`assert_fact`](EngineSession::assert_fact).
-    pub fn assert_fact_ids(&mut self, pred: &str, tuple: &[SeqId]) -> Result<bool, EvalError> {
-        self.assert_batch(&[(pred, Args::Ids(tuple))])
-            .map(|n| n > 0)
-    }
-
-    /// Assert every fact of `db` (built against this session's store);
-    /// returns how many were new. **Failure-atomic**, like
-    /// [`assert_facts`](EngineSession::assert_facts).
+    /// [`assert_fact`](EngineSession::assert_fact). **Failure-atomic**,
+    /// like [`assert_facts`](EngineSession::assert_facts).
     pub fn assert_db(&mut self, db: &Database) -> Result<usize, EvalError> {
         let facts: Vec<_> = db
             .iter()
@@ -1155,17 +1159,11 @@ impl EngineSession {
         self.store.lookup(&self.alphabet.lookup_seq_of_str(text)?)
     }
 
-    /// [`retract_fact`](EngineSession::retract_fact) over already-interned
-    /// sequences; an id the store never issued matches nothing.
-    pub fn retract_fact_ids(&mut self, pred: &str, tuple: &[SeqId]) -> Result<bool, EvalError> {
-        self.retract_batch(&[(pred, Args::Ids(tuple))])
-            .map(|n| n > 0)
-    }
-
     /// Retract every fact of `db` in one Delete-and-Rederive maintenance
     /// pass; returns how many were base facts (and are now gone). Unknown
-    /// predicates and non-base facts are skipped; if nothing qualifies the
-    /// call is a pure no-op (count `0`, session untouched).
+    /// predicates, non-base facts and ids the store never issued are
+    /// skipped; if nothing qualifies the call is a pure no-op (count `0`,
+    /// session untouched).
     pub fn retract_db(&mut self, db: &Database) -> Result<usize, EvalError> {
         let facts: Vec<_> = db
             .iter()
@@ -1232,7 +1230,7 @@ impl EngineSession {
     /// `pred` matching `pattern` — rendered, sorted, deduplicated. The
     /// answers equal filtering a full
     /// [`run`](EngineSession::run)-then-[`query`](EngineSession::query)
-    /// by the pattern — byte-identically, on any thread count. Two routes
+    /// by the pattern — byte-identically. Two routes
     /// reach them:
     ///
     /// * **Settled session** ([`is_settled`](EngineSession::is_settled)),
@@ -1454,8 +1452,8 @@ impl EngineSession {
         report
     }
 
-    /// The evaluation configuration (mutable: budgets and thread count may
-    /// be adjusted between runs; determinism holds for any `threads`).
+    /// The evaluation configuration (mutable: budgets may be adjusted
+    /// between runs).
     pub fn config_mut(&mut self) -> &mut EvalConfig {
         &mut self.config
     }
@@ -1679,7 +1677,9 @@ mod tests {
         assert!(refused(s.assert_seq(&long).map(drop)));
         // The id routes check an interned sequence's length the same way.
         s.config_mut().max_seq_len = 4;
-        assert!(refused(s.assert_fact_ids("r", &[wide]).map(drop)));
+        let mut one = Database::new();
+        one.add("r", vec![wide]);
+        assert!(refused(s.assert_db(&one).map(drop)));
         let mut db = Database::new();
         db.add("r", vec![s.store.empty()]);
         db.add("r", vec![wide]);
@@ -1715,9 +1715,11 @@ mod tests {
         let mut foreign = Database::new();
         foreign.add("r", vec![far.unwrap()]);
         let stranger = SeqId(1_000_000);
+        let mut strangers = Database::new();
+        strangers.add("r", vec![stranger]);
         let before = (s.store.count(), s.alphabet.len(), s.durable_records());
         assert!(matches!(
-            s.assert_fact_ids("r", &[stranger]),
+            s.assert_db(&strangers),
             Err(EvalError::UnknownSeq(id)) if id == stranger
         ));
         assert!(matches!(
@@ -1725,7 +1727,7 @@ mod tests {
             Err(EvalError::UnknownSeq(_))
         ));
         // A retraction of a fact no store id names is a no-op.
-        assert!(!s.retract_fact_ids("r", &[stranger]).unwrap());
+        assert_eq!(s.retract_db(&strangers).unwrap(), 0);
         assert_eq!(s.retract_db(&foreign).unwrap(), 0);
         let after = (s.store.count(), s.alphabet.len(), s.durable_records());
         assert_eq!(after, before, "nothing interned, nothing logged");

@@ -19,7 +19,7 @@
 //! * a subtransducer call becomes a `pt_S` subgoal plus an `inp_S` feeding
 //!   rule, recursively for all orders.
 //!
-//! Deviations from the paper's text (see DESIGN.md): we generate one rule
+//! Deviations from the paper's text: we generate one rule
 //! per transition entry instead of joining a reified `delta_T` relation
 //! (the specialization the paper itself uses in Theorem 1), we mark
 //! every tape exactly once (the paper's γ″/γ′5 as printed would double-mark

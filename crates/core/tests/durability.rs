@@ -503,15 +503,21 @@ fn recovery_against_a_mismatched_program_is_refused() {
 #[test]
 fn ids_route_asserts_and_retracts_replay_identically() {
     // assert_seq is interner-only (not logged); the ids-route assert and
-    // retract must log logical records that replay to the same state.
+    // retract (`assert_db`/`retract_db`, one fact per call) must log
+    // logical records that replay to the same state.
     let dir = TempDir::new("ids");
     let mut s = open_durable(SRC, EvalConfig::default(), dir.path(), Default::default());
+    let one = |id| {
+        let mut db = Database::new();
+        db.add("r", vec![id]);
+        db
+    };
     let id = s.assert_seq("abca").unwrap();
-    s.assert_fact_ids("r", &[id]).unwrap();
+    s.assert_db(&one(id)).unwrap();
     let id2 = s.assert_seq("bb").unwrap();
-    s.assert_fact_ids("r", &[id2]).unwrap();
+    s.assert_db(&one(id2)).unwrap();
     s.run().unwrap();
-    s.retract_fact_ids("r", &[id2]).unwrap();
+    s.retract_db(&one(id2)).unwrap();
     let live = state(&s);
     drop(s);
     let recovered = open_durable(SRC, EvalConfig::default(), dir.path(), Default::default());

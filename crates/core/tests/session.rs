@@ -133,7 +133,9 @@ fn assert_seq_and_ids_round_trip() {
     let mut s = session("suffix(X[N:end]) :- r(X).", EvalConfig::default());
     let id = s.assert_seq("abc").unwrap();
     assert_eq!(s.render(id), "abc");
-    assert!(s.assert_fact_ids("r", &[id]).unwrap());
+    let mut db = Database::new();
+    db.add("r", vec![id]);
+    assert_eq!(s.assert_db(&db).unwrap(), 1);
     s.run().unwrap();
     assert_eq!(s.answers("suffix"), ["", "abc", "bc", "c"]);
 }
@@ -515,34 +517,6 @@ fn retract_frees_budget_headroom() {
 }
 
 #[test]
-fn retract_is_bit_for_bit_deterministic_across_threads() {
-    let src = r#"
-        p(X) :- r(X).
-        p(X) :- s(X).
-        pairs(X, Y) :- p(X), p(Y).
-    "#;
-    let run_at = |threads: usize| {
-        let mut s = session(src, EvalConfig::with_threads(threads));
-        for w in ["abc", "de", "f", "gh"] {
-            s.assert_fact("r", &[w]).unwrap();
-        }
-        s.assert_fact("s", &["abc"]).unwrap();
-        s.run().unwrap();
-        s.retract_fact("r", &["abc"]).unwrap();
-        s.retract_fact("r", &["f"]).unwrap();
-        let extents: Vec<Vec<Vec<String>>> = ["p", "pairs", "r", "s"]
-            .iter()
-            .map(|p| s.query(p)) // insertion order, NOT sorted: bit-for-bit
-            .collect();
-        (extents, s.stats())
-    };
-    let reference = run_at(1);
-    for t in [2, 4, 8] {
-        assert_eq!(run_at(t), reference, "threads={t} diverged");
-    }
-}
-
-#[test]
 fn check_model_confirms_settled_sessions() {
     let mut s = session(CHAIN_SRC, EvalConfig::default());
     s.assert_fact("chain0", &["abcabc"]).unwrap();
@@ -725,10 +699,8 @@ fn batch_asserts_on_poisoned_sessions_apply_nothing() {
     db.add("p", vec![id]);
     let refusals = [
         s.assert_fact("p", &["zz"]).map(drop),
-        s.assert_fact_ids("p", &[id]).map(drop),
         s.assert_db(&db).map(drop),
         s.retract_fact("p", &["aaaaaaaa"]).map(drop),
-        s.retract_fact_ids("p", &[id]).map(drop),
         s.retract_db(&db).map(drop),
     ];
     for r in refusals {
@@ -739,83 +711,28 @@ fn batch_asserts_on_poisoned_sessions_apply_nothing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Every dispatch configuration the sharded-commit matrix cares about:
-/// thread counts 1/2/4/8 crossed with the default parallel threshold and
-/// threshold 0 (which pushes even small rounds through the multi-worker
-/// match).
-fn dispatch_matrix() -> Vec<EvalConfig> {
-    let mut out = Vec::new();
-    for threads in [1usize, 2, 4, 8] {
-        for parallel_threshold in [EvalConfig::default().parallel_threshold, 0] {
-            out.push(EvalConfig {
-                threads,
-                parallel_threshold,
-                ..EvalConfig::default()
-            });
-        }
-    }
-    out
-}
-
 #[test]
-fn threshold_straddling_runs_are_bit_for_bit_across_dispatch_paths() {
-    // Two runs of a quadratic join, sized so the first (virgin) run's
-    // full-round estimate sits far below the default parallel threshold while the second
-    // run's delta round estimates far above it: within one session some
-    // rounds dispatch inline and others through the multi-worker match. Both
-    // paths must produce identical insertion order and EvalStats, so the
-    // whole matrix is compared bit-for-bit against the sequential session.
-    let src = "pair(X, Y) :- w(X), w(Y).";
-    let run = |config: EvalConfig| {
-        let mut s = session(src, config);
-        for i in 0..60 {
-            s.assert_fact("w", &[&format!("a{i}")]).unwrap();
-        }
-        s.run().unwrap();
-        for i in 0..60 {
-            s.assert_fact("w", &[&format!("b{i}")]).unwrap();
-        }
-        s.run().unwrap();
-        (s.query("pair"), s.query("w"), s.stats())
-    };
-
-    let reference = run(EvalConfig::default());
-    assert_eq!(reference.0.len(), 120 * 120);
-    for config in dispatch_matrix() {
-        let got = run(config);
-        assert_eq!(
-            got, reference,
-            "insertion order or stats diverged under {config:?}"
-        );
-    }
-}
-
-#[test]
-fn parallel_asserts_into_a_compacted_relation_are_bit_for_bit() {
+fn asserts_into_a_compacted_relation_match_a_fresh_batch() {
     // Adversarial index-probe scenario: settle a quadratic join, retract
     // scattered base words (tombstoning mid-relation dedupe slots), force
-    // a compaction, then drive a wide forced-parallel round straight into
-    // the rebuilt index. The result must equal a fresh batch over the
-    // survivors and stay bit-for-bit identical across the dispatch matrix.
+    // a compaction, then drive a wide round straight into the rebuilt
+    // index. The result must equal a fresh batch over the survivors.
     let src = "pair(X, Y) :- w(X), w(Y).";
     let retracted = ["a3", "a17", "a29"];
-    let run = |config: EvalConfig| {
-        let mut s = session(src, config);
-        for i in 0..40 {
-            s.assert_fact("w", &[&format!("a{i}")]).unwrap();
-        }
-        s.run().unwrap();
-        // Each effective retraction runs Delete-and-Rederive, which removes
-        // tombstoned mid-relation slots and rebuilds the index.
-        for w in retracted {
-            assert!(s.retract_fact("w", &[w]).unwrap());
-        }
-        for i in 0..60 {
-            s.assert_fact("w", &[&format!("b{i}")]).unwrap();
-        }
-        s.run().unwrap();
-        s
-    };
+    let mut s = session(src, EvalConfig::default());
+    for i in 0..40 {
+        s.assert_fact("w", &[&format!("a{i}")]).unwrap();
+    }
+    s.run().unwrap();
+    // Each effective retraction runs Delete-and-Rederive, which removes
+    // tombstoned mid-relation slots and rebuilds the index.
+    for w in retracted {
+        assert!(s.retract_fact("w", &[w]).unwrap());
+    }
+    for i in 0..60 {
+        s.assert_fact("w", &[&format!("b{i}")]).unwrap();
+    }
+    s.run().unwrap();
 
     let survivors: Vec<(&str, String)> = (0..40)
         .map(|i| format!("a{i}"))
@@ -825,25 +742,9 @@ fn parallel_asserts_into_a_compacted_relation_are_bit_for_bit() {
         .collect();
     let survivor_refs: Vec<(&str, &str)> =
         survivors.iter().map(|(p, w)| (*p, w.as_str())).collect();
-
-    let reference = run(EvalConfig::default());
     assert_eq!(
-        session_extents(&reference, &["pair", "w"]),
+        session_extents(&s, &["pair", "w"]),
         batch_extents(src, &survivor_refs, &["pair", "w"]),
         "compacted session ≢ fresh batch over the survivors"
     );
-
-    let reference = (
-        reference.query("pair"),
-        reference.query("w"),
-        reference.stats(),
-    );
-    for config in dispatch_matrix() {
-        let s = run(config);
-        let got = (s.query("pair"), s.query("w"), s.stats());
-        assert_eq!(
-            got, reference,
-            "compacted-relation round diverged under {config:?}"
-        );
-    }
 }

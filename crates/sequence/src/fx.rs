@@ -4,8 +4,7 @@
 //! ([`crate::Sym`], [`crate::SeqId`]) or short symbol slices, for which
 //! SipHash's HashDoS protection buys nothing and costs a lot. The sanctioned
 //! dependency set does not include `rustc-hash`, so we inline the ~30-line
-//! public-domain multiply-xor algorithm here (see DESIGN.md, "Design
-//! deviations").
+//! public-domain multiply-xor algorithm here instead of depending on it.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

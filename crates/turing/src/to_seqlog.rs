@@ -16,7 +16,7 @@
 //!   the Theorem 2 undecidability proof), which surfaces here as a budget
 //!   error from the evaluator;
 //! * we add γ1 blank-padding (`X ++ "␣"`) and a head-on-marker output rule,
-//!   two boundary cases the paper's prose glosses over (see DESIGN.md).
+//!   two boundary cases the paper's prose glosses over.
 
 use crate::machine::{Move, TuringMachine};
 use seqlog_core::ast::{Atom, BodyLit, Clause, IndexTerm, IndexedBase, Program, SeqTerm};

@@ -2,10 +2,10 @@
 # Short benchmark smoke run: measures the headline benchmarks with a 1s
 # budget per benchmark and aggregates per-benchmark medians into
 # BENCH_<N>.json at the repo root, so successive PRs can track the perf
-# trajectory. Includes the parallel_scaling bench (the same workloads swept
-# over EvalConfig::threads ∈ {1,2,4,8}, including the delta1M case: a
-# settled session resumed with a ~1.1M-fact semi-naive delta, matched on
-# several workers and committed sequentially), the incremental_update bench
+# trajectory. Includes the parallel_scaling bench (the wide-round
+# reference arms, ids ending in _t1: the pairs self-join, the abcn pattern
+# workload, and the delta1M case — a settled session resumed with a
+# ~1.1M-fact semi-naive delta in one round), the incremental_update bench
 # (small session delta on a ≥5k-fact settled base vs batch re-evaluation),
 # and the retract_update bench (one-fact retraction on a ≥8k-fact settled
 # base, maintained by Delete-and-Rederive, vs batch re-evaluation of the
@@ -24,6 +24,11 @@
 # chain fused at compile time into one minimized machine vs staged
 # per-derivation execution, with a ≥2x separation asserted before
 # timing).
+#
+# Every bench runs even when an earlier one fails (a separation gate that
+# does not hold, say). The JSON holds the results of every bench that ran
+# and names the failed ones under "failed"; the script then exits non-zero
+# naming them.
 # Usage: scripts/bench_check.sh [N]  (default N=9).
 set -euo pipefail
 
@@ -33,20 +38,32 @@ OUT="BENCH_${N}.json"
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
+BENCHES=(
+    ex15_recursion thm3_ptime fig2_square parallel_scaling incremental_update
+    retract_update durability stratified_eval point_query transducer_pipeline
+)
+failed=()
 # The criterion shim appends one JSON object per benchmark to $BENCH_JSON.
-BENCH_JSON="$RAW" cargo bench -q -p seqlog-bench \
-    --bench ex15_recursion --bench thm3_ptime --bench fig2_square \
-    --bench parallel_scaling --bench incremental_update \
-    --bench retract_update --bench durability \
-    --bench stratified_eval --bench point_query \
-    --bench transducer_pipeline \
-    -- --measurement-time 1
+for bench in "${BENCHES[@]}"; do
+    if ! BENCH_JSON="$RAW" cargo bench -q -p seqlog-bench --bench "$bench" \
+        -- --measurement-time 1; then
+        echo "bench_check: $bench failed" >&2
+        failed+=("$bench")
+    fi
+done
 
 {
     echo '{'
     echo '  "schema": 1,'
     echo "  \"run\": ${N},"
     echo '  "measurement_time_secs": 1,'
+    printf '  "failed": ['
+    sep=
+    for bench in "${failed[@]}"; do
+        printf '%s"%s"' "$sep" "$bench"
+        sep=', '
+    done
+    echo '],'
     echo '  "results": ['
     sed 's/^/    /; $!s/$/,/' "$RAW"
     echo '  ]'
@@ -54,3 +71,7 @@ BENCH_JSON="$RAW" cargo bench -q -p seqlog-bench \
 } > "$OUT"
 
 echo "wrote $OUT ($(grep -c '"id"' "$OUT") benchmarks)"
+if [ "${#failed[@]}" -ne 0 ]; then
+    echo "bench_check: failed: ${failed[*]}" >&2
+    exit 1
+fi

@@ -7,9 +7,7 @@
 # from the facts after every retraction, plus the domain's own
 # insert/release cascade tests) and the crash-injection recovery suite (durable sessions
 # killed at fuzzed WAL offsets, recovered, and compared bit-for-bit
-# against a fresh replay), the explicit sharded-commit threads matrix
-# (every generated case forced through the multi-worker match and the
-# task-order sequential commit at threads 1/2/4/8), the
+# against a fresh replay), the
 # demand-driven query oracle (query_bound ≡ filter of the batch fixpoint
 # across every adornment of arity ≤ 3 on three session arms — unsettled,
 # settled, and mid-stream with the last batch pending — with the settled
@@ -18,14 +16,14 @@
 # transducer-algebra property suite (trim/determinize/compose/minimize
 # vs the extensional oracle on random machines, with the skip-trim and
 # swapped-composition mutants being caught) and the fusion differential
-# (fusion on ≡ off bit-for-bit at threads 1/2/4/8), the analysis
+# (fusion on ≡ off bit-for-bit), the analysis
 # soundness suite (stratified semi-naive ≡ naive extensionally, SL003 and
 # SL004 verdicts sound against evaluation), the mutation check
 # (scripts/mutation_check.sh: each deliberate bug in scripts/mutants/ —
 # a log reader without checksums or tail truncation, a snapshot restore
 # with stale watermarks, a magic rewrite without its guard or fallback, a
-# commit in reverse task order — must apply, compile and fail its named
-# test), the perfbench smoke run (every
+# log replay that applies aborted batches, batch seeding without its id
+# check — must apply, compile and fail its named test), the perfbench smoke run (every
 # workload at --size tiny; its batch-eval path is Engine::evaluate_with,
 # the session-backed front door), the SL001..SL009 lint analyzer over the
 # program corpus with machine-level lints, the Fig. 3 / Example 8.1
@@ -64,28 +62,19 @@ cargo test -q -p seqlog-sequence domain
 
 echo "==> cargo test -q --test fuzz_recovery (crash-injection recovery suite:"
 echo "    durable sessions killed at fuzzed WAL byte offsets and record"
-echo "    boundaries, recovered across threads 1/2/4/8, and compared"
-echo "    bit-for-bit against a fresh replay of the surviving log; plus"
+echo "    boundaries, recovered, and compared bit-for-bit against a fresh"
+echo "    replay of the surviving log; plus"
 echo "    bit-flip corruption sweeps and the pinned torn-tail, interior-flip"
 echo "    and pending-assert cases the mutation check relies on)"
 cargo test -q --test fuzz_recovery
-
-echo "==> sharded-commit threads matrix (explicit): every generated case"
-echo "    forced through the multi-worker match at threads 1/2/4/8, its"
-echo "    buffers committed sequentially in task order, and compared"
-echo "    bit-for-bit against the single-worker reference — assert-only"
-echo "    batches, retraction interleavings, and crash-recovery replays"
-cargo test -q --test fuzz_differential -- sharded_commit
-cargo test -q --test fuzz_recovery sharded_commit
 
 echo "==> cargo test -q --test fuzz_demand (demand-driven query oracle:"
 echo "    query_bound ≡ sorted filter of the batch fixpoint for every"
 echo "    populated predicate and every bound/free adornment of arity ≤ 3,"
 echo "    on three session arms — unsettled, settled (an index probe of the"
 echo "    session's relation, evaluated == false), and mid-stream (settled"
-echo "    batches plus a pending one) — bit-for-bit across threads 1/2/4/8"
-echo "    on every arm; plus the pinned selectivity and fallback cases the"
-echo "    mutation check relies on)"
+echo "    batches plus a pending one); plus the pinned selectivity and"
+echo "    fallback cases the mutation check relies on)"
 cargo test -q --test fuzz_demand
 
 echo "==> cargo test -q -p seqlog-core --test demand (point-query pins: the"
@@ -106,8 +95,8 @@ cargo test -q -p seqlog-transducer --test algebra
 echo "==> cargo test -q --test fuzz_fusion (fusion differential: every"
 echo "    generated case extended with transducer-chain clauses, plus the"
 echo "    paper's transducer programs, evaluated with the compile-time"
-echo "    fusion pass on and off — extents bit-for-bit identical at threads"
-echo "    1/2/4/8, and the fused route provably doing less transducer work)"
+echo "    fusion pass on and off — extents bit-for-bit identical, and the"
+echo "    fused route provably doing less transducer work)"
 cargo test -q --test fuzz_fusion
 
 echo "==> cargo test -q --test fuzz_analysis (analysis soundness: semi-naive"

@@ -4,7 +4,8 @@
 # Each scripts/mutants/<name>.patch breaks one mechanism of the engine on
 # purpose (a log reader without checksums, a snapshot restore with stale
 # watermarks, a magic-set rewrite without its guard, a log replay that
-# applies aborted batches, ...). This script
+# applies aborted batches, batch seeding without its id check, ...). This
+# script
 # copies the working tree once into a temporary directory and, for each
 # patch in the table below:
 #
@@ -33,7 +34,7 @@ checks=(
   "stale_watermarks|fuzz_recovery|pending_assert_in_snapshot_derives_after_recovery"
   "drop_magic_guard|fuzz_demand|demand_scratch_stays_in_the_goal_cone"
   "skip_fallback|fuzz_demand|pinned_gd_with_outside_cone_construction"
-  "commit_order|fuzz_differential|sharded_commit_is_bit_for_bit_at_every_thread_count"
+  "skip_seed_check|engine_edges|foreign_database_is_refused_and_the_engine_keeps_working"
   "replay_keeps_aborted|durability|budget_refused_assert_is_compensated_and_replays_as_a_noop"
 )
 

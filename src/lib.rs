@@ -13,8 +13,11 @@
 //! * [`transducer`] — generalized transducers and acyclic networks,
 //! * [`turing`] — Turing machines and the Theorem 1 / Theorem 5 compilers.
 //!
-//! See `README.md` for a quickstart, `DESIGN.md` for the system inventory and
-//! `EXPERIMENTS.md` for the reproduced results.
+//! See `README.md` for a quickstart and the system inventory (its "Layout"
+//! table and the sections from "Evaluation engine" on), `tests/README.md`
+//! for the test taxonomy, and the `experiments` binary
+//! (`cargo run -p seqlog-bench --bin experiments --release`) for the
+//! reproduced results.
 
 pub use seqlog_core as core;
 pub use seqlog_sequence as sequence;

@@ -121,86 +121,6 @@ fn strategies_agree_on_large_mutual_recursion() {
     assert_strategies_agree(&mut e, &p, &db);
 }
 
-/// Evaluate the same program at `threads ∈ {1, 2, 4, 8}` and demand
-/// bit-for-bit agreement: identical per-relation tuple *insertion order*
-/// (not just set equality), identical [`EvalStats`], and — via the caller —
-/// identical error variants on failing programs.
-fn assert_thread_counts_agree(
-    e: &mut Engine,
-    program: &Program,
-    db: &Database,
-    base: &EvalConfig,
-) -> Result<sequence_datalog::core::Model, EvalError> {
-    let mut reference: Option<(usize, sequence_datalog::core::Model)> = None;
-    let mut reference_err: Option<(usize, EvalError)> = None;
-    for threads in [1usize, 2, 4, 8] {
-        let cfg = EvalConfig { threads, ..*base };
-        match e.evaluate_with(program, db, &cfg) {
-            Ok(model) => match &reference {
-                None => {
-                    assert!(
-                        reference_err.is_none(),
-                        "threads={threads} succeeded, earlier failed"
-                    );
-                    reference = Some((threads, model));
-                }
-                Some((t0, m0)) => {
-                    assert_eq!(
-                        m0.stats, model.stats,
-                        "stats differ between threads={t0} and threads={threads}"
-                    );
-                    for pred in program.predicates() {
-                        // Unsorted: insertion order itself must agree.
-                        assert_eq!(
-                            e.rendered_tuples(m0, &pred),
-                            e.rendered_tuples(&model, &pred),
-                            "insertion order of {pred} differs between threads={t0} and threads={threads}"
-                        );
-                    }
-                }
-            },
-            Err(err) => match &reference_err {
-                None => {
-                    assert!(
-                        reference.is_none(),
-                        "threads={threads} failed, earlier succeeded"
-                    );
-                    reference_err = Some((threads, err));
-                }
-                Some((t0, e0)) => {
-                    assert_eq!(
-                        std::mem::discriminant(e0),
-                        std::mem::discriminant(&err),
-                        "error variant differs between threads={t0} and threads={threads}"
-                    );
-                    if let (
-                        EvalError::Budget {
-                            kind: k0,
-                            stats: s0,
-                        },
-                        EvalError::Budget {
-                            kind: k1,
-                            stats: s1,
-                        },
-                    ) = (e0, &err)
-                    {
-                        assert_eq!(k0, k1, "budget kind differs at threads={threads}");
-                        assert_eq!(
-                            s0.facts, s1.facts,
-                            "stats.facts at error differ at threads={threads}"
-                        );
-                    }
-                }
-            },
-        }
-    }
-    match (reference, reference_err) {
-        (Some((_, m)), None) => Ok(m),
-        (None, Some((_, e))) => Err(e),
-        _ => unreachable!("each run either succeeds or fails"),
-    }
-}
-
 /// The shared ≥5k-fact mutual-recursion workload. Deterministic seed
 /// words, each ending in a letter unique to it, so no two words share any
 /// non-empty suffix — the chain relations grow to their full,
@@ -225,66 +145,10 @@ fn chain_workload(e: &mut Engine) -> (Program, Database) {
 }
 
 #[test]
-fn thread_counts_agree_on_large_mutual_recursion() {
-    // Naive ≡ semi-naive ≡ parallel semi-naive at 1/2/4/8 threads on the
-    // 5k-fact chain workload: identical models, identical insertion order
-    // and stats across thread counts.
-    let mut e = Engine::new();
-    let (p, db) = chain_workload(&mut e);
-    let parallel = assert_thread_counts_agree(&mut e, &p, &db, &EvalConfig::default())
-        .expect("chain workload terminates");
-    assert!(parallel.stats.facts >= 5_000, "workload too small");
-    let naive = e
-        .evaluate_with(
-            &p,
-            &db,
-            &EvalConfig {
-                strategy: Strategy::Naive,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-    assert_eq!(naive.facts.total_facts(), parallel.facts.total_facts());
-    for pred in p.predicates() {
-        let mut a = e.rendered_tuples(&naive, &pred);
-        let mut b = e.rendered_tuples(&parallel, &pred);
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "extent of {pred} differs from naive");
-    }
-}
-
-#[test]
-fn thread_counts_agree_on_transducer_heads() {
-    // Transducer calls run in the sequential commit phase; sharding the
-    // match phase must not reorder or duplicate them.
-    let mut e = Engine::new();
-    let t1 = library::transcribe(&mut e.alphabet);
-    let t2 = library::translate(&mut e.alphabet);
-    e.register_transducer("transcribe", t1);
-    e.register_transducer("translate", t2);
-    let p = e
-        .parse_program(
-            "rnaseq(D, @transcribe(D)) :- dnaseq(D).\n\
-             proteinseq(D, @translate(R)) :- rnaseq(D, R).\n\
-             tagged(D ++ P) :- proteinseq(D, P).",
-        )
-        .unwrap();
-    let mut db = Database::new();
-    for w in ["ctactg", "acg", "ctactgaaggtg", "tgcatgca"] {
-        e.add_fact(&mut db, "dnaseq", &[w]);
-    }
-    let m = assert_thread_counts_agree(&mut e, &p, &db, &EvalConfig::default())
-        .expect("genome program terminates");
-    assert!(m.stats.transducer_calls > 0);
-}
-
-#[test]
-fn thread_counts_agree_on_budget_errors() {
-    // A fact-budget blowup must fail with the same EvalError variant, the
-    // same BudgetKind, and the same stats.facts at every thread count (and
-    // under both strategies): incremental enforcement stops all of them at
-    // max_facts + 1.
+fn budget_errors_stop_one_fact_past_max_facts() {
+    // A fact-budget blowup must fail with the Facts budget kind and the
+    // same stats.facts under both strategies: incremental enforcement stops
+    // both at max_facts + 1.
     let mut e = Engine::new();
     let p = e.parse_program("pair(X, Y) :- s(X), s(Y).").unwrap();
     let mut db = Database::new();
@@ -292,12 +156,12 @@ fn thread_counts_agree_on_budget_errors() {
         e.add_fact(&mut db, "s", &[&format!("w{i}")]);
     }
     for strategy in [Strategy::SemiNaive, Strategy::Naive] {
-        let base = EvalConfig {
+        let config = EvalConfig {
             strategy,
             max_facts: 200,
             ..EvalConfig::default()
         };
-        match assert_thread_counts_agree(&mut e, &p, &db, &base) {
+        match e.evaluate_with(&p, &db, &config) {
             Err(EvalError::Budget { kind, stats }) => {
                 assert_eq!(kind, sequence_datalog::core::BudgetKind::Facts);
                 assert_eq!(stats.facts, 201, "{strategy:?}");

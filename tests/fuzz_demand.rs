@@ -15,9 +15,6 @@
 //! a derivable goal is evaluated exactly when the session holds pending
 //! asserts, so the settled arm never runs the scratch.
 //!
-//! Thread determinism: the demand route is **bit-for-bit** identical
-//! (answers *and* scratch `EvalStats`) at threads 1/2/4/8, on every arm.
-//!
 //! Two pinned cases are the named checks of `scripts/mutation_check.sh`:
 //!
 //! * `scripts/mutants/drop_magic_guard.patch` (guarded clause variants
@@ -43,17 +40,15 @@ use sequence_datalog::core::analysis::Adornment;
 use sequence_datalog::core::compile::compile;
 use sequence_datalog::core::EvalConfig;
 
-const THREADS: [usize; 4] = [1, 2, 4, 8];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(60))]
 
     #[test]
     fn demand_equals_filtered_batch_for_every_adornment(case in cases()) {
-        let extents = batch_outcome(&case, &EvalConfig::with_threads(1))
+        let config = EvalConfig::default();
+        let extents = batch_outcome(&case, &config)
             .extents_sorted()
             .unwrap_or_else(|| panic!("default budgets must fit generated cases:\n{case}"));
-        let config = EvalConfig::with_threads(1);
         for (pred, pattern) in demand_probes(&extents) {
             let expected = filtered_extent(&extents, &pred, &pattern);
             for arm in DEMAND_ARMS {
@@ -82,38 +77,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(25))]
-
-    #[test]
-    fn demand_is_bit_for_bit_across_thread_counts(case in cases()) {
-        let extents = batch_outcome(&case, &EvalConfig::with_threads(1))
-            .extents_sorted()
-            .unwrap_or_else(|| panic!("default budgets must fit generated cases:\n{case}"));
-        for (pred, pattern) in demand_probes(&extents) {
-            for arm in DEMAND_ARMS {
-                let run = |t: usize| {
-                    demand_outcome(&case, &EvalConfig::with_threads(t), &pred, &pattern, arm)
-                        .unwrap_or_else(|err| panic!("demand route failed ({err}):\n{case}"))
-                };
-                let reference = run(1);
-                for t in THREADS {
-                    prop_assert_eq!(
-                        &run(t),
-                        &reference,
-                        "query_bound({}, {:?}) on the {:?} arm at threads={} is not bit-for-bit identical\n{}",
-                        pred,
-                        pattern,
-                        arm,
-                        t,
-                        case
-                    );
-                }
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Pinned shape cases: the fallback-sensitive fragments, held still
 // ---------------------------------------------------------------------------
@@ -128,14 +91,14 @@ fn pinned_gd_with_outside_cone_construction() {
         program: "dbl0(X ++ X) :- r0(X).\ngd0(X, X) :- true.\n".into(),
         batches: vec![vec![("r0".into(), "ab".into())]],
     };
-    let extents = batch_outcome(&case, &EvalConfig::with_threads(1))
+    let extents = batch_outcome(&case, &EvalConfig::default())
         .extents_sorted()
         .unwrap();
     let pattern = vec![None, None];
     let expected = filtered_extent(&extents, "gd0", &pattern);
     let got = demand_outcome(
         &case,
-        &EvalConfig::with_threads(1),
+        &EvalConfig::default(),
         "gd0",
         &pattern,
         DemandArm::Unsettled,
@@ -176,7 +139,7 @@ fn mutant_skipped_fallback_is_caught_by_extents() {
         batches,
     };
     let pattern = vec![None, None];
-    let config = EvalConfig::with_threads(1);
+    let config = EvalConfig::default();
     let expected = filtered_extent(
         &batch_outcome(&full, &config).extents_sorted().unwrap(),
         "gd0",
@@ -206,14 +169,14 @@ fn pinned_mutual_recursion_demand() {
             .into(),
         batches: vec![vec![("r0".into(), "abc".into()), ("r0".into(), "c".into())]],
     };
-    let extents = batch_outcome(&case, &EvalConfig::with_threads(1))
+    let extents = batch_outcome(&case, &EvalConfig::default())
         .extents_sorted()
         .unwrap();
     for (pred, pattern) in demand_probes(&extents) {
         let expected = filtered_extent(&extents, &pred, &pattern);
         let got = demand_outcome(
             &case,
-            &EvalConfig::with_threads(1),
+            &EvalConfig::default(),
             &pred,
             &pattern,
             DemandArm::Unsettled,
@@ -240,9 +203,7 @@ fn demand_scratch_stays_in_the_goal_cone() {
     let program = e
         .parse_program("anc(X, Y) :- edge(X, Y).\nanc(X, Z) :- anc(X, Y), edge(Y, Z).")
         .unwrap();
-    let mut s = e
-        .into_session(&program, EvalConfig::with_threads(1))
-        .unwrap();
+    let mut s = e.into_session(&program, EvalConfig::default()).unwrap();
     for (x, y) in [
         ("a", "b"),
         ("b", "c"),

@@ -1,5 +1,5 @@
 //! Differential fuzzing of compile-time transducer fusion: **fusion on ≡
-//! fusion off**, bit-for-bit, at every thread count.
+//! fusion off**, bit-for-bit.
 //!
 //! The fusion pass (`seqlog_core::analysis::fuse`) collapses chains of
 //! 1-input transducer calls in clause heads into one composed, trimmed,
@@ -19,12 +19,10 @@
 //!   7.1), plus a nested-chain variant of the DNA → RNA → protein
 //!   pipeline.
 //!
-//! Each case runs at threads 1/2/4/8: within one fusion mode the full
-//! `Outcome` (extents + stats) must be bit-for-bit identical across
-//! thread counts, and across modes the extents must be bit-for-bit
-//! identical at every thread count. `EvalStats::transducer_calls/steps`
-//! legitimately differ across modes (one fused run replaces a chain of
-//! stage runs), which is why the cross-mode comparison is extent-level.
+//! Across modes the extents must be bit-for-bit identical.
+//! `EvalStats::transducer_calls/steps` legitimately differ across modes
+//! (one fused run replaces a chain of stage runs), which is why the
+//! comparison is extent-level.
 
 use proptest::prelude::*;
 use seqlog_testkit::{cases, chained_batch_outcome, with_chain_clauses, Extents, Outcome};
@@ -32,11 +30,8 @@ use sequence_datalog::core::{Database, Engine, EvalConfig};
 use sequence_datalog::transducer::library;
 use std::collections::BTreeMap;
 
-const THREADS: [usize; 4] = [1, 2, 4, 8];
-
-fn config(threads: usize, fusion: bool) -> EvalConfig {
+fn config(fusion: bool) -> EvalConfig {
     EvalConfig {
-        threads,
         fusion,
         ..EvalConfig::default()
     }
@@ -57,21 +52,14 @@ proptest! {
     #[test]
     fn fusion_on_equals_fusion_off_for_generated_chains(case in cases()) {
         let case = with_chain_clauses(case);
-        let on_ref = chained_batch_outcome(&case, &config(1, true));
-        let off_ref = chained_batch_outcome(&case, &config(1, false));
+        let on = chained_batch_outcome(&case, &config(true));
+        let off = chained_batch_outcome(&case, &config(false));
         prop_assert_eq!(
-            extents(&on_ref),
-            extents(&off_ref),
-            "fusion on/off extents differ at threads=1\n{}",
+            extents(&on),
+            extents(&off),
+            "fusion on/off extents differ\n{}",
             case
         );
-        for t in [2usize, 4, 8] {
-            let on = chained_batch_outcome(&case, &config(t, true));
-            let off = chained_batch_outcome(&case, &config(t, false));
-            // Within a mode: bit-for-bit across thread counts, stats included.
-            prop_assert_eq!(&on, &on_ref, "fused route diverges at threads={}\n{}", t, case);
-            prop_assert_eq!(&off, &off_ref, "chained route diverges at threads={}\n{}", t, case);
-        }
     }
 }
 
@@ -145,19 +133,9 @@ fn paper_transducer_programs_agree_with_fusion_on_and_off() {
         ),
     ];
     for (src, facts, setup) in cases {
-        let on_ref = run(src, facts, *setup, &config(1, true));
-        for t in THREADS {
-            let on = run(src, facts, *setup, &config(t, true));
-            let off = run(src, facts, *setup, &config(t, false));
-            assert_eq!(
-                on, off,
-                "fusion on/off extents differ at threads={t} for:\n{src}"
-            );
-            assert_eq!(
-                on, on_ref,
-                "fused route diverges across thread counts at threads={t} for:\n{src}"
-            );
-        }
+        let on = run(src, facts, *setup, &config(true));
+        let off = run(src, facts, *setup, &config(false));
+        assert_eq!(on, off, "fusion on/off extents differ for:\n{src}");
     }
 }
 
@@ -178,8 +156,8 @@ fn fusion_actually_reduces_transducer_calls() {
         Outcome::Model { stats, .. } => *stats,
         Outcome::Failed(f) => panic!("route failed: {f}"),
     };
-    let on = stats(&chained_batch_outcome(&case, &config(1, true)));
-    let off = stats(&chained_batch_outcome(&case, &config(1, false)));
+    let on = stats(&chained_batch_outcome(&case, &config(true)));
+    let off = stats(&chained_batch_outcome(&case, &config(false)));
     assert!(
         on.transducer_calls < off.transducer_calls,
         "fusion did not reduce transducer calls: {} (on) vs {} (off)",

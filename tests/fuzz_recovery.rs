@@ -1,5 +1,5 @@
 //! Crash-injected recovery fuzzing: **recovered ≡ replay of the surviving
-//! log**, at every kill point, at every thread count.
+//! log**, at every kill point.
 //!
 //! `seqlog_testkit` executes generated assert/retract interleavings (the
 //! PR 4 generator, ground-domain-sensitive shape forced in) inside a
@@ -14,11 +14,11 @@
 //!   must fail cleanly — pinned in `crates/core/tests/durability.rs`);
 //! * the recovered session is **bit-for-bit equal** (extents in insertion
 //!   order, cumulative stats) to a fresh in-memory session replaying the
-//!   surviving log — at threads 1 and at a rotating choice of {2, 4, 8};
+//!   surviving log;
 //! * after a settling `run`, the recovered session equals a fresh **batch
-//!   evaluation of the surviving base facts** extracted from the log, for
-//!   every thread count in {1, 2, 4, 8} — the Definition 4 oracle: the
-//!   least fixpoint is a function of the database, crashes included;
+//!   evaluation of the surviving base facts** extracted from the log — the
+//!   Definition 4 oracle: the least fixpoint is a function of the
+//!   database, crashes included;
 //! * under tightened budgets (refused asserts leaving `Abort` compensation
 //!   pairs, runs that poison the session mid-commit), every kill point —
 //!   including one cutting between a refused batch and its compensation —
@@ -44,8 +44,6 @@ use seqlog_testkit::{
 use sequence_datalog::core::wal::WAL_FILE;
 use sequence_datalog::core::{DurabilityOptions, EvalConfig, EvalError, RecoveryError};
 use std::fs;
-
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// Snapshot cadence 2 exercises both recover-from-snapshot and
 /// replay-a-tail at most kill points; unbounded retention lets the crash
@@ -80,120 +78,64 @@ proptest! {
     #[test]
     fn recovery_at_every_kill_point_matches_fresh_replay(case in interleaved_cases_with_gd()) {
         let opts = fuzz_opts();
-        let run = durable_run(&case, &EvalConfig::with_threads(1), &opts);
+        let config = EvalConfig::default();
+        let run = durable_run(&case, &config, &opts);
         let offsets = kill_offsets(&run);
         prop_assert!(!offsets.is_empty(), "a durable run always has kill points\n{}", case);
-        for (i, offset) in sample_offsets(&offsets, 8).into_iter().enumerate() {
+        for offset in sample_offsets(&offsets, 8) {
             let crashed = crash_at(&run, offset);
-            let recovered = recover_session(
-                &case.program, crashed.path(), &EvalConfig::with_threads(1), &opts,
-            ).unwrap_or_else(|e| panic!("recovery at offset {offset} must succeed: {e}\n{case}"));
+            let recovered = recover_session(&case.program, crashed.path(), &config, &opts)
+                .unwrap_or_else(|e| panic!("recovery at offset {offset} must succeed: {e}\n{case}"));
             // Fresh replay AFTER recovery: recovery may have truncated a
             // torn tail, and the oracle is defined over the surviving log.
-            let fresh = wal_replay_outcome(
-                &case.program, crashed.path(), &EvalConfig::with_threads(1),
-            );
+            let fresh = wal_replay_outcome(&case.program, crashed.path(), &config);
             prop_assert_eq!(
                 session_outcome(&recovered).bitwise_view(),
                 fresh.bitwise_view(),
                 "recovered state at offset {} differs from fresh replay\n{}",
                 offset, case
             );
-            // Thread determinism survives recovery: a rotating choice of
-            // {2, 4, 8} must reproduce the threads=1 state bit-for-bit.
-            let t = [2usize, 4, 8][i % 3];
-            let recovered_t = recover_session(
-                &case.program, crashed.path(), &EvalConfig::with_threads(t), &opts,
-            ).unwrap_or_else(|e| panic!("recovery at threads={t} must succeed: {e}\n{case}"));
+            // Recovering the same directory again (the first recovery may
+            // have truncated a torn tail) reaches the same state.
+            drop(recovered);
+            let again = recover_session(&case.program, crashed.path(), &config, &opts)
+                .unwrap_or_else(|e| panic!("second recovery at offset {offset} must succeed: {e}\n{case}"));
             prop_assert_eq!(
-                session_outcome(&recovered_t).bitwise_view(),
+                session_outcome(&again).bitwise_view(),
                 fresh.bitwise_view(),
-                "recovery at threads={} is not bit-for-bit identical (offset {})\n{}",
-                t, offset, case
+                "second recovery at offset {} differs from fresh replay\n{}",
+                offset, case
             );
         }
     }
 
-    /// The settled oracle at full thread coverage: recover at the final
-    /// kill point (and one interior point), settle with `run`, and compare
-    /// against a fresh batch evaluation of the log's surviving base facts —
-    /// for every thread count in {1, 2, 4, 8}.
+    /// The settled oracle: recover at the final kill point (and one
+    /// interior point), settle with `run`, and compare against a fresh
+    /// batch evaluation of the log's surviving base facts.
     #[test]
     fn recovered_then_settled_equals_batch_of_survivors(case in interleaved_cases_with_gd()) {
         let opts = fuzz_opts();
-        let run = durable_run(&case, &EvalConfig::with_threads(1), &opts);
+        let config = EvalConfig::default();
+        let run = durable_run(&case, &config, &opts);
         let offsets = kill_offsets(&run);
         for offset in [offsets[offsets.len() / 2], *offsets.last().unwrap()] {
+            // A recovered session is durable, so its settling run appends
+            // to the image it recovered from: the oracle reads its own copy.
             let oracle_dir = crash_at(&run, offset);
-            let oracle = wal_surviving_batch_outcome(
-                &case.program, oracle_dir.path(), &EvalConfig::with_threads(1),
-            );
+            let oracle = wal_surviving_batch_outcome(&case.program, oracle_dir.path(), &config);
             let expected = oracle.extents_sorted_nonempty()
                 .unwrap_or_else(|| panic!("default budgets must fit generated cases:\n{case}"));
-            for t in THREADS {
-                // A fresh crash image per thread: a recovered session is
-                // durable, so its settling run appends to the image it
-                // recovered from.
-                let crashed = crash_at(&run, offset);
-                let mut recovered = recover_session(
-                    &case.program, crashed.path(), &EvalConfig::with_threads(t), &opts,
-                ).unwrap_or_else(|e| panic!("recovery at threads={t} must succeed: {e}\n{case}"));
-                recovered.run().unwrap_or_else(|e| panic!("settling run must succeed: {e}\n{case}"));
-                prop_assert_eq!(
-                    session_outcome(&recovered).extents_sorted_nonempty().as_ref(),
-                    Some(&expected),
-                    "recovered+settled at threads={} (offset {}) differs from a fresh \
-                     batch evaluation of the surviving base facts\n{}",
-                    t, offset, case
-                );
-            }
-        }
-    }
-
-    /// The sharded-commit matrix under crash injection: generated cases
-    /// are small, so the sweeps above reach the multi-worker machinery
-    /// only through its dispatch decision. Here both the durable run that
-    /// *writes* the log and every recovery that *replays* it are forced
-    /// through the multi-worker match at threads 1/2/4/8 — WAL bytes and
-    /// recovered state must stay bit-for-bit identical to the sequential
-    /// reference at every kill point.
-    #[test]
-    fn sharded_commit_recovery_is_bit_for_bit(case in interleaved_cases_with_gd()) {
-        let opts = fuzz_opts();
-        let sharded = |threads: usize| EvalConfig {
-            threads,
-            parallel_threshold: 0,
-            ..EvalConfig::default()
-        };
-        let reference_run = durable_run(&case, &EvalConfig::with_threads(1), &opts);
-        // The log a forced-sharded multi-worker session writes is the
-        // byte-identical log the sequential session writes.
-        let sharded_run = durable_run(&case, &sharded(8), &opts);
-        prop_assert_eq!(
-            fs::read(sharded_run.dir.path().join(WAL_FILE)).expect("read sharded wal"),
-            fs::read(reference_run.dir.path().join(WAL_FILE)).expect("read reference wal"),
-            "sharded-commit session wrote different WAL bytes\n{}", case
-        );
-        let offsets = kill_offsets(&reference_run);
-        for offset in sample_offsets(&offsets, 3) {
-            let crashed = crash_at(&reference_run, offset);
-            let fresh = wal_replay_outcome(
-                &case.program, crashed.path(), &EvalConfig::with_threads(1),
+            let crashed = crash_at(&run, offset);
+            let mut recovered = recover_session(&case.program, crashed.path(), &config, &opts)
+                .unwrap_or_else(|e| panic!("recovery at offset {offset} must succeed: {e}\n{case}"));
+            recovered.run().unwrap_or_else(|e| panic!("settling run must succeed: {e}\n{case}"));
+            prop_assert_eq!(
+                session_outcome(&recovered).extents_sorted_nonempty().as_ref(),
+                Some(&expected),
+                "recovered+settled (offset {}) differs from a fresh batch evaluation \
+                 of the surviving base facts\n{}",
+                offset, case
             );
-            for t in THREADS {
-                let recovered = recover_session(
-                    &case.program, crashed.path(), &sharded(t), &opts,
-                ).unwrap_or_else(|e| panic!(
-                    "sharded recovery at threads={t} offset {offset} must succeed: {e}\n{case}"
-                ));
-                prop_assert_eq!(
-                    session_outcome(&recovered).bitwise_view(),
-                    fresh.bitwise_view(),
-                    "sharded recovery at threads={} (offset {}) is not bit-for-bit \
-                     identical to the sequential replay\n{}",
-                    t, offset, case
-                );
-            }
         }
     }
 
@@ -203,7 +145,6 @@ proptest! {
     #[test]
     fn recovery_with_budget_refusals_and_poisoned_tails(case in interleaved_cases_with_gd()) {
         let config = EvalConfig {
-            threads: 1,
             max_facts: 12,
             ..EvalConfig::default()
         };
@@ -256,7 +197,7 @@ fn pinned_case() -> InterleavedCase {
 fn bit_flips_are_loud_or_harmless() {
     let case = pinned_case();
     let opts = fuzz_opts();
-    let config = EvalConfig::with_threads(1);
+    let config = EvalConfig::default();
     let run = durable_run(&case, &config, &opts);
     let original_wal = fs::read(run.dir.path().join(WAL_FILE)).expect("read live wal");
 
@@ -321,7 +262,7 @@ fn bit_flips_are_loud_or_harmless() {
 fn torn_tail_kill_point_recovers() {
     let case = pinned_case();
     let opts = fuzz_opts();
-    let config = EvalConfig::with_threads(1);
+    let config = EvalConfig::default();
     let run = durable_run(&case, &config, &opts);
     let offsets = kill_offsets(&run);
     let mid_record = offsets
@@ -347,7 +288,7 @@ fn interior_content_flip_is_refused_as_corrupt() {
         snapshot_every: 0,
         ..Default::default()
     };
-    let config = EvalConfig::with_threads(1);
+    let config = EvalConfig::default();
     let run = durable_run(&case, &config, &opts);
 
     let crashed = crash_at(&run, run.final_len);
@@ -389,7 +330,7 @@ fn pending_assert_in_snapshot_derives_after_recovery() {
         snapshots_kept: 1 << 20,
         ..Default::default()
     };
-    let config = EvalConfig::with_threads(1);
+    let config = EvalConfig::default();
 
     // Kill after the assert record but before the Run record: boundary 0
     // is the post-attach header length, boundary 1 the post-assert length.
