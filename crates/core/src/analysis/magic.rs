@@ -80,10 +80,6 @@ pub struct MagicProgram {
     pub adorned: AdornedProgram,
 }
 
-/// Recompute a synthesized clause's safety flags over its actual head and
-/// body. Variable slots inherited from the source clause that no longer
-/// occur anywhere in the synthesized clause are vacuously guarded — their
-/// slots are never read by the matcher or the head evaluator.
 /// Record every variable occurrence of `t` into the slot-occurrence maps.
 fn mark(t: &CSeq, occurs_seq: &mut [bool], occurs_idx: &mut [bool]) {
     let mut sv = Vec::new();
@@ -98,29 +94,21 @@ fn mark(t: &CSeq, occurs_seq: &mut [bool], occurs_idx: &mut [bool]) {
     }
 }
 
-fn synth_clause(head: CAtom, body: Vec<CBody>, src: &CompiledClause) -> CompiledClause {
+/// Build a synthesized clause over its actual head and body. Variable
+/// slots inherited from the source clause that no longer occur anywhere
+/// in it are dropped, and the safety flags are derived over what remains
+/// by [`CompiledClause::new`], the constructor the compiler uses.
+fn synth_clause(mut head: CAtom, mut body: Vec<CBody>, src: &CompiledClause) -> CompiledClause {
     let mut occurs_seq = vec![false; src.n_seq];
     let mut occurs_idx = vec![false; src.n_idx];
-    let mut guarded_seq = vec![false; src.n_seq];
-    let mut idx_in_atom = vec![false; src.n_idx];
-    let mut constructive = false;
     for t in &head.args {
         mark(t, &mut occurs_seq, &mut occurs_idx);
-        constructive |= matches!(t, CSeq::Concat(..) | CSeq::Transducer { .. });
     }
     for lit in &body {
         match lit {
             CBody::Atom(a) => {
                 for t in &a.args {
                     mark(t, &mut occurs_seq, &mut occurs_idx);
-                    if let CSeq::Var(v) = t {
-                        guarded_seq[*v as usize] = true;
-                    }
-                    let mut iv = Vec::new();
-                    t.idx_vars(&mut iv);
-                    for &v in &iv {
-                        idx_in_atom[v as usize] = true;
-                    }
                 }
             }
             CBody::Eq(l, r) | CBody::Neq(l, r) => {
@@ -139,24 +127,18 @@ fn synth_clause(head: CAtom, body: Vec<CBody>, src: &CompiledClause) -> Compiled
     let mut idx_map = vec![0u16; src.n_idx];
     let mut seq_names = Vec::new();
     let mut idx_names = Vec::new();
-    let mut guarded = Vec::new();
     for v in 0..src.n_seq {
         if occurs_seq[v] {
             seq_map[v] = seq_names.len() as u16;
             seq_names.push(src.seq_names[v].clone());
-            guarded.push(guarded_seq[v]);
         }
     }
-    let mut idx_unguarded = false;
     for v in 0..src.n_idx {
         if occurs_idx[v] {
             idx_map[v] = idx_names.len() as u16;
             idx_names.push(src.idx_names[v].clone());
-            idx_unguarded |= !idx_in_atom[v];
         }
     }
-    let mut head = head;
-    let mut body = body;
     for t in &mut head.args {
         remap_seq(t, &seq_map, &idx_map);
     }
@@ -173,22 +155,9 @@ fn synth_clause(head: CAtom, body: Vec<CBody>, src: &CompiledClause) -> Compiled
             }
         }
     }
-    let domain_sensitive = guarded.iter().any(|&g| !g) || idx_unguarded;
-    CompiledClause {
-        head,
-        body,
-        n_seq: seq_names.len(),
-        n_idx: idx_names.len(),
-        seq_names,
-        idx_names,
-        guarded_seq: guarded,
-        constructive,
-        domain_sensitive,
-    }
+    CompiledClause::new(head, body, seq_names, idx_names)
 }
 
-/// The goal's dependency cone: predicates reachable from `goal` through
-/// clause bodies (including the goal itself).
 /// Renumber every variable slot in `t` through the compaction maps.
 fn remap_seq(t: &mut CSeq, seq_map: &[u16], idx_map: &[u16]) {
     match t {
@@ -224,6 +193,8 @@ fn remap_idx(t: &mut CIdx, idx_map: &[u16]) {
     }
 }
 
+/// The goal's dependency cone: predicates reachable from `goal` through
+/// clause bodies (including the goal itself).
 fn cone_of(program: &CompiledProgram, goal: PredId) -> Vec<bool> {
     let n = program.preds.len();
     let mut cone = vec![false; n];

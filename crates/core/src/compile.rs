@@ -283,6 +283,56 @@ pub struct CompiledClause {
 }
 
 impl CompiledClause {
+    /// Assemble a clause whose variable slots are exactly `seq_names` and
+    /// `idx_names` (every slot occurs in `head` or `body`), deriving its
+    /// flags by the Appendix B rules. A sequence variable is guarded when
+    /// it occurs as a *whole argument* of some body atom. The clause is
+    /// domain-sensitive — evaluation consults the extended active domain —
+    /// when some sequence variable is unguarded, or when some index
+    /// variable never occurs inside a body atom (it is then enumerated
+    /// over the integer range). It is constructive when a head argument is
+    /// a concatenation or a transducer call.
+    pub(crate) fn new(
+        head: CAtom,
+        body: Vec<CBody>,
+        seq_names: Vec<String>,
+        idx_names: Vec<String>,
+    ) -> Self {
+        let mut guarded_seq = vec![false; seq_names.len()];
+        let mut idx_in_body_atom = vec![false; idx_names.len()];
+        let mut vs = Vec::new();
+        for lit in &body {
+            if let CBody::Atom(a) = lit {
+                for t in &a.args {
+                    if let CSeq::Var(v) = t {
+                        guarded_seq[*v as usize] = true;
+                    }
+                    t.idx_vars(&mut vs);
+                }
+            }
+        }
+        for v in vs {
+            idx_in_body_atom[v as usize] = true;
+        }
+        let domain_sensitive =
+            guarded_seq.iter().any(|&g| !g) || idx_in_body_atom.iter().any(|&g| !g);
+        let constructive = head
+            .args
+            .iter()
+            .any(|t| matches!(t, CSeq::Concat(..) | CSeq::Transducer { .. }));
+        Self {
+            head,
+            body,
+            n_seq: seq_names.len(),
+            n_idx: idx_names.len(),
+            seq_names,
+            idx_names,
+            guarded_seq,
+            constructive,
+            domain_sensitive,
+        }
+    }
+
     /// True when every sequence variable is guarded (Appendix B).
     pub fn is_guarded(&self) -> bool {
         self.guarded_seq.iter().all(|&g| g)
@@ -490,49 +540,7 @@ fn compile_clause(
         }
     }
     let head = compile_atom(&clause.head, &mut vt, preds)?;
-
-    // Guardedness (Appendix B): a sequence variable is guarded when it
-    // occurs as a *whole argument* of some body atom.
-    let mut guarded_seq = vec![false; vt.seq_names.len()];
-    for lit in &body {
-        if let CBody::Atom(a) = lit {
-            for t in &a.args {
-                if let CSeq::Var(v) = t {
-                    guarded_seq[*v as usize] = true;
-                }
-            }
-        }
-    }
-
-    // Domain sensitivity: evaluation consults the extended active domain
-    // when some sequence variable is unguarded, or when some index variable
-    // never occurs inside a body atom (it is then enumerated over the
-    // integer range).
-    let mut idx_in_body_atom = vec![false; vt.idx_names.len()];
-    for lit in &body {
-        if let CBody::Atom(a) = lit {
-            let mut vs = Vec::new();
-            for t in &a.args {
-                t.idx_vars(&mut vs);
-            }
-            for v in vs {
-                idx_in_body_atom[v as usize] = true;
-            }
-        }
-    }
-    let domain_sensitive = guarded_seq.iter().any(|&g| !g) || idx_in_body_atom.iter().any(|&g| !g);
-
-    Ok(CompiledClause {
-        head,
-        body,
-        n_seq: vt.seq_names.len(),
-        n_idx: vt.idx_names.len(),
-        seq_names: vt.seq_names,
-        idx_names: vt.idx_names,
-        guarded_seq,
-        constructive: clause.is_constructive(),
-        domain_sensitive,
-    })
+    Ok(CompiledClause::new(head, body, vt.seq_names, vt.idx_names))
 }
 
 fn compile_atom(a: &Atom, vt: &mut VarTable, preds: &mut PredTable) -> Result<CAtom, CompileError> {

@@ -33,8 +33,13 @@ use seqlog_sequence::{Alphabet, SeqId, SeqStore, Sym};
 use seqlog_transducer::Transducer;
 
 /// Render one interned sequence through an alphabet + store pair — the
-/// single rendering primitive every query-result path goes through.
+/// single rendering primitive every query-result path goes through. An id
+/// the store never issued renders as the fixed placeholder
+/// `<unknown sequence N>` instead of panicking.
 pub(crate) fn render_seq(alphabet: &Alphabet, store: &SeqStore, id: SeqId) -> String {
+    if id.index() >= store.count() {
+        return format!("<unknown sequence {}>", id.0);
+    }
     alphabet.render(store.get(id))
 }
 
@@ -108,9 +113,10 @@ impl Engine {
         self.store.intern_vec(syms)
     }
 
-    /// Render an interned sequence back to a string.
+    /// Render an interned sequence back to a string; an id this engine's
+    /// store never issued renders as `<unknown sequence N>`.
     pub fn render(&self, id: SeqId) -> String {
-        self.alphabet.render(self.store.get(id))
+        render_seq(&self.alphabet, &self.store, id)
     }
 
     /// Parse a program, interning its constants.
@@ -328,5 +334,23 @@ impl Engine {
         let answers = session.query_bound(pred, pattern);
         self.take_back(session);
         answers
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn render_of_an_unissued_id_is_a_placeholder() {
+        let mut e = Engine::new();
+        let ab = e.seq("ab");
+        assert_eq!(e.render(ab), "ab");
+        let unissued = SeqId(e.store.count() as u32);
+        assert_eq!(
+            e.render(unissued),
+            format!("<unknown sequence {}>", unissued.0)
+        );
+        assert_eq!(e.render(SeqId(u32::MAX)), "<unknown sequence 4294967295>");
     }
 }

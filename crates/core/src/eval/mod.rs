@@ -664,14 +664,14 @@ impl Fixpoint {
     /// Rebuild a `Fixpoint` from persisted parts. The extended active
     /// domain is **recomputed** by closing over every sequence of every
     /// loaded fact (Definition 4 makes it a function of the
-    /// interpretation) — it is deliberately not a parameter, so no on-disk
-    /// format can install a domain the facts do not justify. Constructive
-    /// growth is therefore exactly reproduced: a corrupt or stale domain
-    /// cannot survive recovery. The recomputation visits members in
-    /// relation-iteration order; callers that recorded the live session's
-    /// chronological member order can re-impose it afterwards with
-    /// [`Fixpoint::adopt_domain_order`], which accepts only a permutation
-    /// of the recomputed set.
+    /// interpretation) — its membership is deliberately not a parameter,
+    /// so no on-disk format can install a domain the facts do not justify.
+    /// Constructive growth is therefore exactly reproduced: a corrupt or
+    /// stale domain cannot survive recovery. Only the member order comes
+    /// from the caller: `domain_order` is the live session's chronological
+    /// order (observable through free-variable enumeration), adopted by
+    /// [`ExtendedDomain::reorder`]; `None` when it is not exactly a
+    /// permutation of the recomputed set.
     ///
     /// `domain_settled` restores the domain watermark as a bit: either the
     /// domain-sensitive clauses are caught up (`domain_done = |domain|`) or
@@ -680,6 +680,7 @@ impl Fixpoint {
     /// already forces a full re-run of every domain-sensitive clause — so
     /// the bit loses nothing, and bit-for-bit stats equality with an
     /// uncrashed session is preserved.
+    #[allow(clippy::too_many_arguments)]
     pub fn restore(
         store: &mut SeqStore,
         facts: FactStore,
@@ -688,10 +689,14 @@ impl Fixpoint {
         sizes_done: Vec<usize>,
         virgin: bool,
         domain_settled: bool,
-    ) -> Self {
-        let domain = domain_of(store, &facts);
+        domain_order: &[SeqId],
+    ) -> Option<Self> {
+        let mut domain = domain_of(store, &facts);
+        if !domain.reorder(store, domain_order) {
+            return None;
+        }
         let domain_done = if domain_settled { domain.len() } else { 0 };
-        Self {
+        Some(Self {
             facts,
             domain,
             stats,
@@ -699,17 +704,7 @@ impl Fixpoint {
             domain_done,
             virgin,
             base,
-        }
-    }
-
-    /// Adopt a recorded extended-domain member order (see
-    /// [`ExtendedDomain::reorder`]): the set stays the recomputed closure,
-    /// only the insertion order — which free-variable enumeration makes
-    /// observable — is taken from the record, and only after verifying it
-    /// is exactly a permutation of that closure. Returns `false` (domain
-    /// untouched) when it is not.
-    pub fn adopt_domain_order(&mut self, store: &SeqStore, order: &[SeqId]) -> bool {
-        self.domain.reorder(store, order)
+        })
     }
 
     /// A scratch `Fixpoint` for demand-driven (magic-set) evaluation,

@@ -144,26 +144,30 @@
 //!   runs those same batches and `run` on a non-durable scratch session,
 //!   so it re-interns everything in the original order and the
 //!   append-only interners reproduce identical ids.
-//! * Snapshots capture the alphabet, sequence store, relations, base-fact
-//!   set, cumulative stats, and the semi-naive watermarks — atomically
-//!   (write-then-rename) and whole-file checksummed. One is written every
+//! * Snapshots hold the alphabet, sequence store, relations, base-fact
+//!   set, cumulative stats, and the semi-naive watermarks, encoded straight
+//!   from the live state in one pass — atomically (write, sync, rename)
+//!   and whole-file checksummed. One is written every
 //!   [`DurabilityOptions::snapshot_every`] records, on
 //!   [`checkpoint`](EngineSession::checkpoint), and on attach.
 //! * **Recovery** ([`open_durable`](EngineSession::open_durable) on an
 //!   existing directory, or [`recover`](EngineSession::recover) on a
-//!   poisoned durable session) loads the newest valid snapshot, replays the
-//!   log tail after it, and resumes the fixpoint from the watermarks. A torn
-//!   final record (a crash mid-append) is truncated away; *interior*
+//!   poisoned durable session) reads snapshots newest first, rebuilding the
+//!   interners and fixpoint as it reads; one that fails any check —
+//!   checksum, structure or content — is skipped for the next older one,
+//!   and recovery fails when none loads. It then replays the log tail after
+//!   the chosen snapshot and resumes the fixpoint from the watermarks. A
+//!   torn final record (a crash mid-append) is truncated away; *interior*
 //!   corruption is a hard [`RecoveryError`] — committed history is never
 //!   silently dropped. The extended active domain is a **function of the
 //!   interpretation** (Definition 4), so its membership is rebuilt from the
 //!   restored facts by re-closing every tuple — never trusted from disk; a
-//!   corrupted snapshot can therefore fail its checksum or its structural
-//!   validation, but cannot smuggle domain members past the fixpoint
-//!   semantics. Only the domain's member *order* — observable through
-//!   free-variable enumeration, hence part of bit-for-bit fidelity — comes
-//!   from the snapshot, and only after it verifies as an exact permutation
-//!   of the rebuilt closure.
+//!   corrupted snapshot can therefore fail its checksum or its validation,
+//!   but cannot smuggle domain members past the fixpoint semantics. Only
+//!   the domain's member *order* — observable through free-variable
+//!   enumeration, hence part of bit-for-bit fidelity — comes from the
+//!   snapshot, and only after it verifies as an exact permutation of the
+//!   rebuilt closure.
 //!
 //! The recovery oracle (fuzzed with crash injection in
 //! `tests/fuzz_recovery.rs`): a recovered session is **bit-for-bit equal**
@@ -185,7 +189,7 @@ use crate::engine::{render_answers_with, render_seq, render_tuples_with, Engine}
 use crate::eval::interp::Relation;
 use crate::eval::{AssertOutcome, BudgetKind, EvalConfig, EvalError, EvalStats, Fixpoint, Model};
 use crate::registry::TransducerRegistry;
-use crate::snapshot::{list_snapshots, SessionSnapshot};
+use crate::snapshot::{list_snapshots, write_snapshot, SessionSnapshot};
 use crate::wal::{
     read_wal, LoggedFact, ReadRecord, RecoveryError, WalReadOptions, WalRecord, WalWriter, WAL_FILE,
 };
@@ -618,11 +622,15 @@ impl EngineSession {
         let Some(d) = self.durability.as_ref() else {
             return Err(mismatch("session is not durable"));
         };
-        let covered = d.wal.next_index();
-        let snap = SessionSnapshot::capture(covered, &self.alphabet, &self.store, &self.fx);
-        let path = snap
-            .write(&d.dir, d.opts.snapshots_kept)
-            .map_err(EvalError::Recovery)?;
+        let path = write_snapshot(
+            &d.dir,
+            d.opts.snapshots_kept,
+            d.wal.next_index(),
+            &self.alphabet,
+            &self.store,
+            &self.fx,
+        )
+        .map_err(EvalError::Recovery)?;
         if let Some(d) = self.durability.as_mut() {
             d.since_snapshot = 0;
         }
@@ -642,7 +650,9 @@ impl EngineSession {
 
         // Newest snapshot consistent with the log. A snapshot claiming
         // records the log never had means committed history vanished —
-        // hard corruption, not something to silently fall back from.
+        // hard corruption, not something to silently fall back from. A
+        // snapshot that fails any check while it is read and rebuilt —
+        // checksum, structure or content — is skipped for an older one.
         let mut chosen: Option<(SessionSnapshot, PathBuf)> = None;
         let mut first_err: Option<RecoveryError> = None;
         for (covered, path) in list_snapshots(&dir).map_err(EvalError::Recovery)? {
@@ -681,12 +691,13 @@ impl EngineSession {
             })));
         };
 
+        let covered = snap.covered;
         let tail: Vec<&ReadRecord> = contents
             .records
             .iter()
-            .filter(|r| r.index >= snap.covered)
+            .filter(|r| r.index >= covered)
             .collect();
-        let mut scratch = self.rebuild_scratch(&snap, &snap_path)?;
+        let mut scratch = self.rebuild_scratch(snap)?;
         let mut next_index = last_index;
         let mut truncate_at = None;
         if let Err((k, e)) = replay_records(&mut scratch, &tail, u64::MAX) {
@@ -701,7 +712,10 @@ impl EngineSession {
                      committed history"
                 )));
             }
-            scratch = self.rebuild_scratch(&snap, &snap_path)?;
+            // The first rebuild was consumed by the failed replay: read
+            // the chosen file again (this retry is rare).
+            let snap = SessionSnapshot::read(&snap_path).map_err(EvalError::Recovery)?;
+            scratch = self.rebuild_scratch(snap)?;
             replay_records(&mut scratch, &tail, k).map_err(|(i, e2)| {
                 mismatch(&format!("log record {i} failed prefix replay: {e2}"))
             })?;
@@ -720,7 +734,7 @@ impl EngineSession {
             wal.truncate_to(offset, next_index)
                 .map_err(EvalError::Recovery)?;
         }
-        let since_snapshot = (next_index - snap.covered) as usize;
+        let since_snapshot = (next_index - covered) as usize;
         self.alphabet = scratch.alphabet;
         self.store = scratch.store;
         self.fx = scratch.fx;
@@ -734,17 +748,13 @@ impl EngineSession {
         Ok(())
     }
 
-    /// Install a snapshot into a detached scratch session sharing this
+    /// Wrap a rebuilt snapshot in a detached scratch session sharing this
     /// session's program, registry, and config, verifying the loaded
     /// interners extend the caller's (same alphabet prefix, same sequence
     /// prefix, program predicates a prefix of the loaded table) so the
     /// compiled program's ids stay valid over the loaded state.
-    fn rebuild_scratch(
-        &self,
-        snap: &SessionSnapshot,
-        snap_path: &Path,
-    ) -> Result<EngineSession, EvalError> {
-        let (alphabet, mut store, fx) = snap.install(snap_path).map_err(EvalError::Recovery)?;
+    fn rebuild_scratch(&self, snap: SessionSnapshot) -> Result<EngineSession, EvalError> {
+        let (alphabet, mut store, fx) = snap.state;
         if !self.program.preds.is_prefix_of(fx.facts().preds()) {
             return Err(mismatch(
                 "program predicates are not a prefix of the persisted predicate table",
@@ -1397,9 +1407,10 @@ impl EngineSession {
         self.fx.stats()
     }
 
-    /// Render an interned sequence back to a string.
+    /// Render an interned sequence back to a string; an id this session's
+    /// store never issued renders as `<unknown sequence N>`.
     pub fn render(&self, id: SeqId) -> String {
-        self.alphabet.render(self.store.get(id))
+        render_seq(&self.alphabet, &self.store, id)
     }
 
     /// The interned id of `pred`, if it occurs in the program or has been
@@ -1645,6 +1656,18 @@ mod tests {
     }
 
     #[test]
+    fn render_of_an_unissued_id_is_a_placeholder() {
+        let s = settled_session();
+        let ab = s.lookup_seq("ab").expect("asserted value is interned");
+        assert_eq!(s.render(ab), "ab");
+        let unissued = SeqId(s.store.count() as u32);
+        assert_eq!(
+            s.render(unissued),
+            format!("<unknown sequence {}>", unissued.0)
+        );
+    }
+
+    #[test]
     fn refused_oversized_asserts_intern_nothing() {
         let mut e = Engine::new();
         let program = e.parse_program("p(X) :- r(X).").unwrap();
@@ -1830,6 +1853,7 @@ mod tests {
         let settled = probe(&mut s, "gd", "ab");
         assert!(!settled.evaluated);
         let rebuilt = |s: &mut EngineSession, virgin: bool, domain_settled: bool| {
+            let order: Vec<SeqId> = s.fx.domain().iter().collect();
             Fixpoint::restore(
                 &mut s.store,
                 s.fx.facts().clone(),
@@ -1838,7 +1862,9 @@ mod tests {
                 s.fx.sizes_done().to_vec(),
                 virgin,
                 domain_settled,
+                &order,
             )
+            .expect("the live member order is a permutation of the closure")
         };
         for (virgin, domain_settled) in [(true, true), (false, false)] {
             let mut c = s.clone();

@@ -551,3 +551,248 @@ fn ids_route_asserts_and_retracts_replay_identically() {
         assert_eq!(log[header..], ids_log[header..]);
     }
 }
+
+/// Byte offsets, in a version-1 snapshot file, of the fields three
+/// content checks guard: the first tuple id of the fact relations, the
+/// first watermark, and the domain member order (with its length); plus
+/// the sequence count, the first id past the store.
+struct SnapFields {
+    nseqs: u32,
+    tuple_id: usize,
+    watermark: usize,
+    order: usize,
+    order_len: usize,
+}
+
+fn snap_fields(bytes: &[u8]) -> SnapFields {
+    let u32_at = |pos: &mut usize| {
+        let v = u32::from_le_bytes(bytes[*pos..*pos + 4].try_into().unwrap());
+        *pos += 4;
+        v as usize
+    };
+    let mut pos = 8 + 4 + 4 + 8; // magic, crc, version, covered
+    for _ in 0..u32_at(&mut pos) {
+        pos += u32_at(&mut pos); // alphabet names
+    }
+    let nseqs = u32_at(&mut pos);
+    for _ in 0..nseqs {
+        pos += 4 * u32_at(&mut pos);
+    }
+    for _ in 0..u32_at(&mut pos) {
+        pos += u32_at(&mut pos); // predicate names
+    }
+    let mut tuple_id = None;
+    for _ in 0..2 {
+        // Fact relations, then base relations.
+        for _ in 0..u32_at(&mut pos) {
+            for _ in 0..u32_at(&mut pos) {
+                let arity = u32_at(&mut pos);
+                if arity > 0 {
+                    tuple_id.get_or_insert(pos);
+                }
+                pos += 4 * arity;
+            }
+        }
+    }
+    pos += 7 * 8; // EvalStats
+    let nwatermarks = u32_at(&mut pos);
+    assert!(nwatermarks > 0, "the snapshot has watermarks");
+    let watermark = pos;
+    pos += 8 * nwatermarks + 2; // watermarks, virgin, domain_settled
+    let order_len = u32_at(&mut pos);
+    assert_eq!(pos + 4 * order_len, bytes.len(), "the order ends the file");
+    SnapFields {
+        nseqs: nseqs as u32,
+        tuple_id: tuple_id.expect("the snapshot holds a tuple"),
+        watermark,
+        order: pos,
+        order_len,
+    }
+}
+
+/// Rewrite the payload checksum so a deliberately broken field reaches the
+/// content checks instead of failing the CRC.
+fn reseal(bytes: &mut [u8]) {
+    let crc = seqlog_core::wal::crc32(&bytes[12..]);
+    bytes[8..12].copy_from_slice(&crc.to_le_bytes());
+}
+
+fn copy_dir(from: &Path, to: &Path) {
+    for entry in fs::read_dir(from).unwrap().flatten() {
+        fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
+    }
+}
+
+#[test]
+fn content_invalid_snapshot_falls_back_or_is_corrupt() {
+    // A snapshot with a valid checksum but content no live session could
+    // have written must be refused as corrupt like a checksum failure: with
+    // an older snapshot present, recovery falls back to it and replays the
+    // longer log tail; with none, it is a `Corrupt` error. Never a panic.
+    let dir = TempDir::new("content");
+    let opts = DurabilityOptions {
+        snapshot_every: 0, // manual checkpoints only
+        ..Default::default()
+    };
+    let mut s = open_durable(SRC, EvalConfig::default(), dir.path(), opts.clone());
+    s.assert_fact("r", &["abc"]).unwrap();
+    s.run().unwrap();
+    let older = s.checkpoint().unwrap();
+    s.assert_fact("r", &["cab"]).unwrap();
+    s.run().unwrap();
+    s.assert_fact("r", &["b"]).unwrap(); // pending in the newest snapshot
+    let newest = s.checkpoint().unwrap();
+    let live = state(&s);
+    drop(s);
+    let snaps = fs::read_dir(dir.path())
+        .unwrap()
+        .flatten()
+        .filter(|e| e.file_name().to_string_lossy().starts_with("snap-"))
+        .count();
+    assert_eq!(snaps, 2, "the two newest snapshots are kept");
+
+    let good = fs::read(&newest).unwrap();
+    let f = snap_fields(&good);
+    assert!(f.order_len >= 2);
+    for what in ["domain order", "watermark", "tuple id"] {
+        let mut bad = good.clone();
+        match what {
+            // Member 0 twice, member 1 never: not a permutation.
+            "domain order" => bad.copy_within(f.order..f.order + 4, f.order + 4),
+            // Past every relation's length.
+            "watermark" => {
+                bad[f.watermark..f.watermark + 8].copy_from_slice(&u64::MAX.to_le_bytes())
+            }
+            // The first id past the store.
+            _ => bad[f.tuple_id..f.tuple_id + 4].copy_from_slice(&f.nseqs.to_le_bytes()),
+        }
+        reseal(&mut bad);
+
+        let with_older = TempDir::new("content-fallback");
+        copy_dir(dir.path(), with_older.path());
+        fs::write(with_older.path().join(newest.file_name().unwrap()), &bad).unwrap();
+        let recovered =
+            try_open_durable(SRC, EvalConfig::default(), with_older.path(), opts.clone())
+                .unwrap_or_else(|e| panic!("{what}: expected a fallback, got {e:?}"));
+        assert_eq!(state(&recovered), live, "{what}");
+
+        let alone = TempDir::new("content-alone");
+        copy_dir(dir.path(), alone.path());
+        fs::remove_file(alone.path().join(older.file_name().unwrap())).unwrap();
+        fs::write(alone.path().join(newest.file_name().unwrap()), &bad).unwrap();
+        match try_open_durable(SRC, EvalConfig::default(), alone.path(), opts.clone()) {
+            Err(EvalError::Recovery(RecoveryError::Corrupt { .. })) => {}
+            other => panic!(
+                "{what}: expected Corrupt, got {:?}",
+                other.map(|_| "a recovered session")
+            ),
+        }
+    }
+}
+
+/// The program of the committed version-1 fixture under
+/// `tests/fixtures/snapshot_v1`: a constructive clause, so the live
+/// domain's member order (chronological) differs from the order a rebuild
+/// from the facts visits, and a clause with a free variable, so that order
+/// decides the insertion order of later derivations.
+const FIXTURE_SRC: &str = r#"
+    c(X ++ Y) :- r(X), r(Y), X != Y.
+    near(X, Y) :- r(X).
+"#;
+
+fn strs(rows: &[&[&str]]) -> Vec<Vec<String>> {
+    rows.iter()
+        .map(|r| r.iter().map(|s| s.to_string()).collect())
+        .collect()
+}
+
+#[test]
+fn version_1_fixture_recovers_and_checkpoints_byte_identically() {
+    // The fixture was written by a durable session over FIXTURE_SRC that
+    // asserted r(ab), r(x), r(yz), ran, retracted r(yz), asserted r(q)
+    // without running it, and checkpointed (snapshots_kept: 1), so the
+    // snapshot covers the whole log and holds a pending assert.
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/snapshot_v1");
+    let snap_name = "snap-00000000000000000006.bin";
+    let committed = fs::read(fixture.join(snap_name)).unwrap();
+    let dir = TempDir::new("fixture-v1");
+    copy_dir(&fixture, dir.path());
+    let opts = DurabilityOptions {
+        snapshot_every: 0,
+        snapshots_kept: 1,
+        ..Default::default()
+    };
+    let mut s = open_durable(FIXTURE_SRC, EvalConfig::default(), dir.path(), opts);
+    let old_near: &[&[&str]] = &[
+        &["ab", ""],
+        &["ab", "ab"],
+        &["ab", "a"],
+        &["ab", "b"],
+        &["ab", "x"],
+        &["ab", "abx"],
+        &["ab", "bx"],
+        &["ab", "xab"],
+        &["ab", "xa"],
+        &["x", ""],
+        &["x", "ab"],
+        &["x", "a"],
+        &["x", "b"],
+        &["x", "x"],
+        &["x", "abx"],
+        &["x", "bx"],
+        &["x", "xab"],
+        &["x", "xa"],
+    ];
+    assert_eq!(s.query("r"), strs(&[&["ab"], &["x"], &["q"]]));
+    assert_eq!(s.query("c"), strs(&[&["abx"], &["xab"]]));
+    assert_eq!(s.query("near"), strs(old_near));
+    assert_eq!(
+        s.stats(),
+        EvalStats {
+            rounds: 4,
+            facts: 23,
+            domain_size: 10,
+            max_seq_len: 4,
+            derivations: 126,
+            ..Default::default()
+        }
+    );
+
+    // Nothing to replay: a checkpoint right away rewrites the same file,
+    // and the one-pass encoder must reproduce it byte for byte.
+    let path = s.checkpoint().unwrap();
+    assert_eq!(path.file_name().unwrap(), snap_name);
+    assert!(
+        fs::read(&path).unwrap() == committed,
+        "the checkpoint differs from the committed snapshot"
+    );
+
+    // The pending assert derives in the next run; its `near` rows follow
+    // the recorded member order, then the members the run adds.
+    s.run().unwrap();
+    let q_near: Vec<String> = s
+        .query("near")
+        .into_iter()
+        .filter(|t| t[0] == "q")
+        .map(|t| t[1].clone())
+        .collect();
+    assert_eq!(
+        q_near,
+        [
+            "", "ab", "a", "b", "x", "abx", "bx", "xab", "xa", "q", "qab", "qa", "qx", "abq", "bq",
+            "xq"
+        ]
+        .map(String::from)
+    );
+    assert_eq!(
+        s.stats(),
+        EvalStats {
+            rounds: 6,
+            facts: 57,
+            domain_size: 16,
+            max_seq_len: 4,
+            derivations: 178,
+            ..Default::default()
+        }
+    );
+}

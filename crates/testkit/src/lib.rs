@@ -8,12 +8,12 @@
 //! composes a few *shapes* drawn from the fragments the evaluator treats
 //! differently (delta-driven joins, domain-sensitive clauses, constructive
 //! heads, equality literals), and every case is terminating by
-//! construction, so `batch ≡ incremental ≡ parallel` is decidable per case.
+//! construction, so `batch ≡ incremental` is decidable per case.
 //!
 //! Two case families are generated over the same shape grammar:
 //!
-//! * [`FuzzCase`] — assert-only batches; oracle: batch ≡ incremental ≡
-//!   parallel ([`batch_outcome`] vs [`incremental_outcome`]).
+//! * [`FuzzCase`] — assert-only batches; oracle: batch ≡ incremental
+//!   ([`batch_outcome`] vs [`incremental_outcome`]).
 //! * [`InterleavedCase`] — assert/**retract** interleavings; oracle: after
 //!   any history, the session equals a fresh batch evaluation of the
 //!   *surviving* base facts ([`interleaved_outcome`] vs
@@ -157,7 +157,7 @@ fn shape_clauses(kind: usize, u: usize, base: usize, out: &mut String) {
             let _ = writeln!(out, "pre{u}(X[1:N]) :- r{base}(X).");
         }
         // Self-join over a trimmed predicate: wide cross-product rounds,
-        // the case the parallel match phase shards.
+        // the largest match phases the generator produces.
         3 => {
             let _ = writeln!(out, "t{u}(X) :- r{base}(X).");
             let _ = writeln!(out, "t{u}(X[3:end]) :- t{u}(X), X != \"\".");

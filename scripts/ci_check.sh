@@ -23,7 +23,8 @@
 # a log reader without checksums or tail truncation, a snapshot restore
 # with stale watermarks, a magic rewrite without its guard or fallback, a
 # log replay that applies aborted batches, batch seeding without its id
-# check — must apply, compile and fail its named test), the perfbench smoke run (every
+# check, a snapshot decoder without its tuple-id bound — must apply,
+# compile and fail its named test), the perfbench smoke run (every
 # workload at --size tiny; its batch-eval path is Engine::evaluate_with,
 # the session-backed front door), the SL001..SL009 lint analyzer over the
 # program corpus with machine-level lints, the Fig. 3 / Example 8.1

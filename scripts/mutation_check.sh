@@ -4,8 +4,8 @@
 # Each scripts/mutants/<name>.patch breaks one mechanism of the engine on
 # purpose (a log reader without checksums, a snapshot restore with stale
 # watermarks, a magic-set rewrite without its guard, a log replay that
-# applies aborted batches, batch seeding without its id check, ...). This
-# script
+# applies aborted batches, batch seeding without its id check, a snapshot
+# decoder without its tuple-id bound, ...). This script
 # copies the working tree once into a temporary directory and, for each
 # patch in the table below:
 #
@@ -36,6 +36,7 @@ checks=(
   "skip_fallback|fuzz_demand|pinned_gd_with_outside_cone_construction"
   "skip_seed_check|engine_edges|foreign_database_is_refused_and_the_engine_keeps_working"
   "replay_keeps_aborted|durability|budget_refused_assert_is_compensated_and_replays_as_a_noop"
+  "skip_tuple_id_check|durability|content_invalid_snapshot_falls_back_or_is_corrupt"
 )
 
 if [ "$#" -gt 0 ]; then
